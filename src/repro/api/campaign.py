@@ -3,10 +3,10 @@
 This module owns the canonical FlashFlow campaign loop (formerly the
 body of :func:`repro.core.netmeasure.measure_network`, which is now a
 thin deprecation shim over it). Each campaign *round* packs every
-waiting relay into consecutive t-second slots greedily (largest first,
-the paper's efficiency scheduler); the round's measurements execute
-concurrently through :class:`repro.core.engine.MeasurementEngine.\
-run_many`, which lowers them onto the vectorized kernel
+waiting relay into consecutive t-second slots, first fit in queue order
+(:func:`repro.core.schedule.first_fit_slots`); the round's measurements
+execute concurrently through :class:`repro.core.engine.\
+MeasurementEngine.run_many`, which lowers them onto the vectorized kernel
 (:mod:`repro.kernel`) -- with ``ExecutionConfig(pipeline=)`` the
 stateful compile stream overlaps worker execution inside each round --
 while ``full_simulation=False`` rounds run whole-round analytic
@@ -37,7 +37,6 @@ rounds streamed through the same event surface.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -66,6 +65,7 @@ from repro.core.netmeasure import (
     CampaignResult,
     normalize_background_demand,
 )
+from repro.core.schedule import first_fit_slots
 from repro.kernel.analytic import run_analytic_round
 from repro.obs import (
     JsonlTraceWriter,
@@ -124,6 +124,17 @@ def run_period_rounds(
     enter seeds or specs, so re-running a period reproduces the exact
     historical deployment behaviour (stateful relays still evolve
     between periods).
+
+    Each round packs its waiting queue first fit in queue order
+    (:func:`repro.core.schedule.first_fit_slots`): a slot takes every
+    queued relay whose requirement ``min(f * max(z0, 1), team
+    capacity)`` still fits its residual. The first round's queue is
+    the old relays by prior descending, then the new relays
+    first-come-first-served (network order); each later round's queue
+    is the previous round's retries in slot order. Requirements are
+    computed once per queued relay and a min segment tree finds each
+    next fit, so packing a round of n relays costs O(n log n) rather
+    than a rescan of the queue per slot.
     """
     params = authority.params
     team = authority.team
@@ -136,10 +147,10 @@ def run_period_rounds(
 
     old = [fp for fp in network.relays if fp in priors]
     new = [fp for fp in network.relays if fp not in priors]
-    # Old relays first (guaranteed measurement), then new FCFS; within
-    # each class, largest guess first to pack slots tightly.
+    # Old relays first (guaranteed measurement), largest prior first to
+    # pack slots tightly; then new relays FCFS.
     old.sort(key=lambda fp: priors[fp], reverse=True)
-    queue: deque[tuple[str, float, int]] = deque(
+    queue: list[tuple[str, float, int]] = (
         [(fp, priors[fp], 0) for fp in old]
         + [(fp, params.new_relay_seed, 0) for fp in new]
     )
@@ -160,26 +171,11 @@ def run_period_rounds(
             # concurrently.
             with tracer.span("round.pack"):
                 first_slot = slot_index
+                required = [required_for(z0) for _, z0, _ in queue]
                 jobs: list[_Job] = []
-                waiting = queue
-                while waiting:
-                    residual = team_capacity
-                    this_slot: list[tuple[str, float, int]] = []
-                    deferred: deque[tuple[str, float, int]] = deque()
-                    while waiting:
-                        fp, z0, rounds = waiting.popleft()
-                        if required_for(z0) <= residual + 1e-6:
-                            this_slot.append((fp, z0, rounds))
-                            residual -= required_for(z0)
-                        else:
-                            deferred.append((fp, z0, rounds))
-                    if not this_slot:
-                        # Should be unreachable: required is capped at
-                        # team capacity.
-                        this_slot.append(deferred.popleft())
-
-                    for fp, z0, rounds in this_slot:
-                        required = required_for(z0)
+                for slot in first_fit_slots(required, team_capacity):
+                    for i in slot:
+                        fp, z0, rounds = queue[i]
                         jobs.append(
                             _Job(
                                 fingerprint=fp,
@@ -188,11 +184,11 @@ def run_period_rounds(
                                 slot_index=slot_index,
                                 relay=network[fp],
                                 capped=(
-                                    required
+                                    required[i]
                                     < params.allocation_factor * z0
                                 ),
                                 assignments=allocate_capacity(
-                                    team, required
+                                    team, required[i]
                                 ),
                                 background=background_for(fp),
                                 wobble=(
@@ -209,7 +205,6 @@ def run_period_rounds(
                             )
                         )
                     slot_index += 1
-                    waiting = deferred
 
             round_span.set(
                 n_jobs=len(jobs), slots_packed=slot_index - first_slot
@@ -275,7 +270,7 @@ def run_period_rounds(
                     first_slot=first_slot,
                     slots_packed=slot_index - first_slot,
                 )
-                retries: deque[tuple[str, float, int]] = deque()
+                retries: list[tuple[str, float, int]] = []
                 for i, (job, (z, failed, reason, cells_checked)) in enumerate(
                     zip(jobs, results)
                 ):

@@ -20,6 +20,8 @@ each :class:`repro.api.campaign.Campaign` run resolves afresh.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -347,6 +349,19 @@ class Scenario:
             raise ConfigurationError(
                 f"priors must be a dict, None, or one of {PRIOR_POLICIES}"
             )
+        if isinstance(self.priors, dict):
+            # A NaN prior would never fit a slot and burn every attempt
+            # on zero-allocation measurements; reject it here instead.
+            for fingerprint, prior in self.priors.items():
+                if not (
+                    isinstance(prior, numbers.Real)
+                    and math.isfinite(prior)
+                    and prior >= 0
+                ):
+                    raise ConfigurationError(
+                        f"prior for relay {fingerprint} must be a finite "
+                        f"capacity >= 0 bit/s, got {prior!r}"
+                    )
         if self.adversaries is not None and not isinstance(
             self.network, NetworkSpec
         ):

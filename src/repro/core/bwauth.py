@@ -67,6 +67,14 @@ class FlashFlowAuthority:
     ):
         if not team:
             raise AllocationError("a BWAuth needs at least one measurer")
+        # Allocation keys capacities and grants by measurer name, so two
+        # measurers sharing one would silently pool into a single entry.
+        names = [m.name for m in team]
+        duplicates = sorted({n for n in names if names.count(n) > 1})
+        if duplicates:
+            raise AllocationError(
+                f"measurer names must be unique; repeated: {duplicates}"
+            )
         self.name = name
         self.team = list(team)
         self.params = params or FlashFlowParams()

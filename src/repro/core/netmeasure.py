@@ -2,9 +2,9 @@
 
 The campaign loop itself lives in :mod:`repro.api.campaign` (the
 scenario-driven front door): each campaign *round* packs every waiting
-relay into consecutive t-second slots greedily (largest first, the
-paper's efficiency scheduler); all measurements of the round are
-executed concurrently by the :class:`repro.core.engine.\
+relay into consecutive t-second slots, first fit in queue order
+(:func:`repro.core.schedule.first_fit_slots`); all measurements of the
+round are executed concurrently by the :class:`repro.core.engine.\
 MeasurementEngine` (``run_many``), which lowers the round onto the
 vectorized measurement kernel (:mod:`repro.kernel`). Outcomes fold
 back in deterministic slot order; inconclusive relays re-enter the

@@ -14,7 +14,8 @@ both selective-capacity relays and targeted denial-of-service (§5).
 
 :func:`greedy_pack_slots` implements the §7 efficiency scheduler: pack
 relays largest-first into consecutive slots to find the *fastest* the
-network can be measured.
+network can be measured. :func:`first_fit_slots` is the campaign's
+policy: pack a waiting queue first-fit in queue order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -276,3 +278,92 @@ def greedy_pack_slots(
             )
         slots.append(slot)
     return slots
+
+
+def _min_fit(left: float, right: float) -> float:
+    """The smaller of two requirements; NaN (never fits) loses to any number."""
+    return left if right != right or left <= right else right
+
+
+def first_fit_slots(
+    requirements: Sequence[float], capacity: float
+) -> list[list[int]]:
+    """Pack a queue into consecutive slots, first fit in queue order.
+
+    Each slot starts with ``capacity`` of residual and takes, walking
+    the remaining entries in queue order, every entry whose requirement
+    is at most ``residual + 1e-6``, subtracting each requirement in
+    take order. Entries that do not fit stay queued, in order, for the
+    next slot. A NaN requirement never fits; when nothing fits a fresh
+    slot, the first remaining entry gets a slot of its own. Returns
+    each slot's queue indices in take order.
+
+    A min segment tree over queue positions finds the leftmost fitting
+    entry after the last one taken in O(log n), so a pack costs
+    O(n log n) where rescanning the queue per slot costs O(n x slots);
+    the slots and their float arithmetic are the same.
+    """
+    n = len(requirements)
+    size = 1
+    while size < n:
+        size *= 2
+    # Leaves hold requirements; taken entries and padding are NaN.
+    tree = [float("nan")] * (2 * size)
+    tree[size:size + n] = requirements
+    for node in range(size - 1, 0, -1):
+        tree[node] = _min_fit(tree[2 * node], tree[2 * node + 1])
+    taken = [False] * n
+
+    def leftmost_fit(lo: int, limit: float) -> int:
+        """Leftmost remaining index >= ``lo`` at most ``limit``, or -1."""
+        node = lo + size
+        while not tree[node] <= limit:
+            # Nothing fits in this subtree: step to the next one right.
+            while node & 1:
+                node >>= 1
+            if not node:
+                return -1
+            node += 1
+        while node < size:
+            node *= 2
+            if not tree[node] <= limit:
+                node += 1
+        return node - size
+
+    def take(index: int) -> None:
+        taken[index] = True
+        node = index + size
+        tree[node] = float("nan")
+        node >>= 1
+        while node:
+            value = _min_fit(tree[2 * node], tree[2 * node + 1])
+            if value is tree[node]:
+                break  # unchanged min: every ancestor is unchanged too
+            tree[node] = value
+            node >>= 1
+
+    head = 0  # every index below ``head`` is taken
+    slots: list[list[int]] = []
+    while True:
+        while head < n and taken[head]:
+            head += 1
+        if head == n:
+            return slots
+        residual = capacity
+        index = leftmost_fit(head, residual + 1e-6)
+        if index < 0:
+            # Nothing fits a fresh slot: the first entry gets one alone.
+            take(head)
+            slots.append([head])
+            continue
+        slot = []
+        while index >= 0:
+            slot.append(index)
+            take(index)
+            residual -= requirements[index]
+            index = (
+                leftmost_fit(index + 1, residual + 1e-6)
+                if index + 1 < n
+                else -1
+            )
+        slots.append(slot)

@@ -1,14 +1,14 @@
 """Oracle tests: Campaign.run() is bit-identical to the pre-PR loop.
 
-``_reference_measure_network`` below is a verbatim port of the
-``measure_network`` body as it stood before the scenario API absorbed
-it (PR 2 state). Registered scenarios resolved deterministically must
-produce the *exact* same estimates through ``Campaign.run()`` on every
-kernel backend as that historical loop produces on freshly resolved,
-identical inputs.
+``_reference_measure_network`` below ports the ``measure_network`` body
+as it stood before the scenario API absorbed it, packing each round
+with the historical per-slot queue rescan
+(:func:`tests.oracles.slot_pack.reference_first_fit`). Registered
+scenarios resolved deterministically must produce the *exact* same
+estimates through ``Campaign.run()`` on every kernel backend as that
+historical loop produces on freshly resolved, identical inputs.
 """
 
-from collections import deque
 from typing import Callable
 
 import pytest
@@ -18,6 +18,7 @@ from repro.core.allocation import allocate_capacity, total_allocated
 from repro.core.engine import MeasurementEngine, MeasurementSpec
 from repro.core.netmeasure import CampaignResult
 from repro.rng import fork
+from tests.oracles.slot_pack import reference_first_fit
 
 BACKENDS = ("serial", "thread", "process", "vector")
 
@@ -48,7 +49,7 @@ def _reference_measure_network(
     old = [fp for fp in network.relays if fp in prior]
     new = [fp for fp in network.relays if fp not in prior]
     old.sort(key=lambda fp: prior[fp], reverse=True)
-    queue = deque(
+    queue = (
         [(fp, prior[fp], 0) for fp in old]
         + [(fp, params.new_relay_seed, 0) for fp in new]
     )
@@ -59,21 +60,10 @@ def _reference_measure_network(
     slot_index = 0
     while queue:
         jobs = []
-        waiting = queue
-        while waiting:
-            residual = team_capacity
-            this_slot = []
-            deferred = deque()
-            while waiting:
-                fp, z0, rounds = waiting.popleft()
-                if required_for(z0) <= residual + 1e-6:
-                    this_slot.append((fp, z0, rounds))
-                    residual -= required_for(z0)
-                else:
-                    deferred.append((fp, z0, rounds))
-            if not this_slot:
-                this_slot.append(deferred.popleft())
-            for fp, z0, rounds in this_slot:
+        for this_slot in reference_first_fit(
+            [required_for(z0) for _, z0, _ in queue], team_capacity
+        ):
+            for fp, z0, rounds in (queue[i] for i in this_slot):
                 required = required_for(z0)
                 jobs.append(
                     (
@@ -96,7 +86,6 @@ def _reference_measure_network(
                     )
                 )
             slot_index += 1
-            waiting = deferred
 
         if full_simulation:
             specs = [
@@ -133,7 +122,7 @@ def _reference_measure_network(
                 in jobs
             ]
 
-        retries = deque()
+        retries = []
         for job, (z, failed, reason) in zip(jobs, results):
             fp, z0, rounds, slot, capped, assignments, bg, _ = job
             result.measurements_run += 1
@@ -224,3 +213,20 @@ def test_every_registered_scenario_is_backend_invariant(name, overrides):
     for backend, report in reports.items():
         assert report.estimates == reference.estimates, (name, backend)
         assert report.slots_elapsed == reference.slots_elapsed, (name, backend)
+
+
+def test_tor_scale_pack_matches_reference():
+    """A cold 1,500-relay analytic campaign: six rounds retry hundreds
+    of relays over about 400 slots, so the first-fit index is checked
+    on long queues in retry order, not only the small ones above."""
+    scenario = get_scenario("whole-network-efficiency", n_relays=1500)
+    execution = ExecutionConfig(full_simulation=False)
+    reference = _reference_for_scenario(scenario, execution)
+    report = Campaign(scenario, execution).run()
+    assert len(report.rounds) > 2
+    assert report.slots_elapsed > 300
+    assert sum(r.n_retried for r in report.rounds) > 100
+    assert report.estimates == reference.estimates
+    assert report.failures == reference.failures
+    assert report.slots_elapsed == reference.slots_elapsed
+    assert report.measurements_run == reference.measurements_run

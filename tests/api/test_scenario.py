@@ -48,6 +48,23 @@ def test_scenario_rejects_bad_fields(kwargs):
         Scenario(**kwargs)
 
 
+@pytest.mark.parametrize("prior", [
+    float("nan"), float("inf"), float("-inf"), -1.0, "fast",
+])
+def test_scenario_rejects_malformed_priors_naming_the_relay(prior):
+    priors = {"relay-ok": mbit(10), "relay-bad": prior}
+    with pytest.raises(ConfigurationError, match="relay-bad"):
+        Scenario(priors=priors)
+    # The daemon re-prices each period with dataclasses.replace, which
+    # runs the same check.
+    with pytest.raises(ConfigurationError, match="relay-bad"):
+        Scenario().with_overrides(priors=priors)
+
+
+def test_scenario_accepts_zero_prior():
+    assert Scenario(priors={"r": 0.0}).priors == {"r": 0.0}
+
+
 def test_scenario_rejects_params_with_existing_authority():
     with pytest.raises(ConfigurationError):
         Scenario(team=quick_team(seed=0), params=FlashFlowParams())

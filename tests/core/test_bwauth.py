@@ -19,6 +19,22 @@ def test_needs_a_team():
         FlashFlowAuthority("b", team=[])
 
 
+def test_rejects_duplicate_measurer_names():
+    """Allocation keys capacities and grants by name: two measurers
+    named alike would pool into one entry, so a 3 x 1 Gbit/s team
+    would grant 2.6 Gbit/s for a 1.8 Gbit/s request."""
+    team = [
+        Measurer(
+            name=name,
+            host=Host(name=f"host{i}", link_capacity=gbit(1)),
+            measured_capacity=gbit(1),
+        )
+        for i, name in enumerate(("m0", "m1", "m1"))
+    ]
+    with pytest.raises(AllocationError, match="m1"):
+        FlashFlowAuthority("b", team=team)
+
+
 def test_old_relay_single_round(team_auth):
     """A correct prior estimate concludes in one measurement (paper §4.2)."""
     relay = Relay.with_capacity("r", mbit(250), seed=1)

@@ -1,14 +1,21 @@
 """Tests for measurement scheduling (paper §4.3)."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import FlashFlowParams
-from repro.core.schedule import PeriodSchedule, greedy_pack_slots
+from repro.core.schedule import (
+    PeriodSchedule,
+    first_fit_slots,
+    greedy_pack_slots,
+)
 from repro.errors import ScheduleError
 from repro.tornet.authority import SharedRandomness
 from repro.units import gbit, mbit
+from tests.oracles.slot_pack import reference_first_fit
 
 
 @pytest.fixture
@@ -159,6 +166,59 @@ def test_greedy_pack_properties(n, seed):
             for f in slot
         )
         assert load <= gbit(3) + 1e-6
+
+
+def test_first_fit_takes_in_queue_order_within_tolerance():
+    # First fit, not largest fit: with 1.0 left after index 0, slot 0
+    # takes the 1.0 at index 2 ahead of the larger 1.0 + 5e-7, which
+    # misses the 0.0 residual but fits slot 1's 1.0 within 1e-6.
+    assert first_fit_slots([2.0, 2.0, 1.0, 1.0 + 5e-7, 0.5], 3.0) == [
+        [0, 2],
+        [1, 3],
+        [4],
+    ]
+
+
+def test_first_fit_nan_never_fits_but_gets_a_slot_of_its_own():
+    assert first_fit_slots([math.nan, 1.0, math.nan], 3.0) == [[1], [0], [2]]
+
+
+_CAPACITIES = (gbit(3), 1.0)
+_FRACTIONS = (1.0, 1 / 2, 1 / 3, 2 / 3, 1 / 4, 3 / 4)
+_NUDGES = (0.0, 5e-7, -5e-7, 1e-6, -1e-6, 2e-6, -2e-6)
+
+
+@st.composite
+def _pack_cases(draw):
+    """Queues whose entries tie, sit within 1e-6 of a residual, equal
+    the capacity, exceed it, or are NaN; in retry (any) or
+    prior-descending order."""
+    capacity = draw(st.sampled_from(_CAPACITIES))
+    near_a_residual = [
+        capacity * fraction + nudge
+        for fraction in _FRACTIONS
+        for nudge in _NUDGES
+    ]
+    requirement = st.one_of(
+        st.sampled_from(near_a_residual + [math.nan]),
+        st.floats(min_value=-capacity, max_value=2 * capacity),
+    )
+    requirements = draw(st.lists(requirement, max_size=32))
+    if draw(st.booleans()):
+        requirements.sort(key=lambda r: r if r == r else -1.0, reverse=True)
+    return requirements, capacity
+
+
+@given(case=_pack_cases())
+@example(case=([], gbit(3)))
+@example(case=([gbit(3)], gbit(3)))
+@example(case=([math.nan], gbit(3)))
+@settings(max_examples=150, deadline=None)
+def test_first_fit_slots_matches_queue_rescan(case):
+    requirements, capacity = case
+    assert first_fit_slots(requirements, capacity) == reference_first_fit(
+        requirements, capacity
+    )
 
 
 # ---------------------------------------------------------------------------

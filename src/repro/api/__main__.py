@@ -57,16 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true",
                         help="list registered scenarios and exit")
     parser.add_argument("--backend", default=None,
-                        help="kernel backend "
-                             "(serial/thread/process/vector/analytic)")
-    parser.add_argument("--pipeline", dest="pipeline", default=None,
-                        action="store_true",
-                        help="force pipelined rounds (compile stream "
-                             "overlaps worker execution); default: auto "
-                             "on pool backends")
-    parser.add_argument("--no-pipeline", dest="pipeline",
-                        action="store_false",
-                        help="disable pipelined rounds")
+                        help="kernel backend (serial/process/vector)")
     parser.add_argument("--shadow-backend", default=None,
                         help="shadow flow-simulator backend (stateful/vector) "
                              "carried in the execution config; only "
@@ -105,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
         full_simulation=base.full_simulation,
         max_rounds=base.max_rounds,
         analytic_error_std=base.analytic_error_std,
-        pipeline=args.pipeline,
         trace=args.trace,
     )
     observers = () if args.quiet else (ProgressObserver(stream=sys.stderr),)

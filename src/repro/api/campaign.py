@@ -7,23 +7,15 @@ waiting relay into consecutive t-second slots, first fit in queue order
 (:func:`repro.core.schedule.first_fit_slots`); the round's measurements
 execute concurrently through :class:`repro.core.engine.\
 MeasurementEngine.run_many`, which lowers them onto the vectorized kernel
-(:mod:`repro.kernel`) -- with ``ExecutionConfig(pipeline=)`` the
-stateful compile stream overlaps worker execution inside each round --
-while ``full_simulation=False`` rounds run whole-round analytic
-estimates through :mod:`repro.kernel.analytic`; outcomes fold back in
-deterministic slot order and inconclusive relays re-enter the next
-round with a doubled estimate. Retries are round-granular (see the
-shim's docstring for the history); for a fixed worker count the whole
-campaign is deterministic, and estimates are bit-identical on every
-backend, pipelined or not.
-
-Round-to-round lookahead is deliberately *not* pipelined: round N+1's
-jobs are exactly round N's retries, and compiling a retry consumes the
+(:mod:`repro.kernel`), while ``full_simulation=False`` rounds run
+whole-round analytic estimates through :mod:`repro.kernel.analytic`;
+outcomes fold back in deterministic slot order and inconclusive relays
+re-enter the next round with a doubled estimate. Retries are
+round-granular (see the shim's docstring for the history): round N+1's
+jobs are exactly round N's retries, and compiling a retry reads the
 relay's jitter stream and token-bucket snapshot *after* round N's walk
-settles back onto it -- so cross-round speculative compilation cannot
-be bit-identical. The pipeline's lookahead is therefore bounded to one
-round: within round N, measurement k+chunk compiles while measurements
-<= k execute in the worker pool.
+settles back onto it. The whole campaign is deterministic, and
+estimates are bit-identical on every backend and worker count.
 
 :class:`Campaign` adds streaming on top: :meth:`Campaign.iter_rounds`
 yields :mod:`repro.api.events` as rounds plan and complete, and
@@ -242,8 +234,6 @@ def run_period_rounds(
                     specs,
                     max_workers=execution.max_workers,
                     backend=execution.backend,
-                    pipeline=execution.pipeline,
-                    shards=execution.shards,
                 )
                 results = [
                     (o.estimate, o.failed, o.failure_reason, o.cells_checked)
@@ -255,9 +245,7 @@ def run_period_rounds(
                 # historical scalar analytic_estimate loop and leaves the
                 # decisions to the fold below. Bit-identical either way.
                 analytic = run_analytic_round(
-                    engine, jobs, params,
-                    backend=execution.backend,
-                    shards=execution.shards,
+                    engine, jobs, params, backend=execution.backend
                 )
                 results = [(z, False, None, 0) for z in analytic.estimates]
                 accepted = analytic.accepted
@@ -358,8 +346,8 @@ class Campaign:
     >>> report = Campaign(Scenario(), ExecutionConfig()).run()
 
     ``engine`` overrides the authority's shared
-    :class:`MeasurementEngine` (benches use this to re-time historical
-    execution paths); almost all callers leave it None.
+    :class:`MeasurementEngine` (the legacy ``measure_network`` shim
+    passes its caller's); almost all callers leave it None.
     """
 
     def __init__(
@@ -406,8 +394,6 @@ class Campaign:
             seed=scenario.seed,
             backend=execution.backend,
             shadow_backend=execution.shadow_backend,
-            shards=execution.shards,
-            pipeline=execution.pipeline,
             full_simulation=execution.full_simulation,
             periods=scenario.periods,
             max_rounds=execution.max_rounds,

@@ -16,16 +16,16 @@ to :class:`repro.core.engine.MeasurementEngine` and
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
 
-#: Backend names the kernel registry ships with; ``None`` defers to
-#: ``FlashFlowParams.kernel_backend`` / ``FLASHFLOW_KERNEL_BACKEND`` /
-#: ``auto``. Third-party backends registered via
-#: :func:`repro.kernel.register_backend` are also accepted.
-KNOWN_BACKENDS = ("serial", "thread", "process", "vector", "analytic", "auto")
+
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool`` (``True`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,9 @@ class ExecutionConfig:
     where only slot accounting matters).
     """
 
-    #: Kernel execution backend (:mod:`repro.kernel.backends`). ``None``
+    #: Kernel execution backend (:mod:`repro.kernel.backends`):
+    #: ``serial``, ``process``, ``vector``, ``auto``, or any backend
+    #: registered via :func:`repro.kernel.register_backend`. ``None``
     #: defers to params/environment, then ``auto``.
     backend: str | None = None
     #: Shadow flow-simulator backend (:mod:`repro.shadow.flows`) for
@@ -59,24 +61,6 @@ class ExecutionConfig:
     max_rounds: int = 8
     #: Std-dev of the analytic path's pre-drawn measurement-error factor.
     analytic_error_std: float = 0.02
-    #: Pipelined rounds: overlap each round's stateful compile stream
-    #: with worker execution (:func:`repro.kernel.run_specs`). ``None``
-    #: (auto, the default) enables it wherever the backend has a pool to
-    #: overlap with (``thread``/``process``) and stays off under
-    #: ``serial``/``vector`` -- so ``serial`` keeps its one-at-a-time
-    #: debugging granularity. ``True`` forces the request (still a
-    #: no-op on pool-less backends), ``False`` disables it. Events,
-    #: estimates, and reports are bit-identical either way.
-    pipeline: bool | None = None
-    #: Campaign sharding: partition each round's packed slots into this
-    #: many contiguous, balanced parts and hand the partition to the
-    #: backend as its chunk boundaries (one shard per worker task on
-    #: pool backends; in-process backends walk the shards in order).
-    #: Results merge back in slot order, so events, estimates, and
-    #: reports are bit-identical to an unsharded run. ``None`` (the
-    #: default) leaves chunking to the backend; sharding prescribes the
-    #: chunk boundaries, so ``pipeline`` is ignored when set.
-    shards: int | None = None
     #: Path for a ``flashflow-trace/1`` JSONL trace of the run
     #: (:mod:`repro.obs`): manifest line, hierarchical campaign/round/
     #: kernel spans with wall+CPU time, and a metrics snapshot, written
@@ -95,7 +79,7 @@ class ExecutionConfig:
                 )
             from repro.kernel import backend_names
 
-            known = set(KNOWN_BACKENDS) | set(backend_names())
+            known = {"auto"} | set(backend_names())
             if self.backend not in known:
                 raise ConfigurationError(
                     f"unknown kernel backend {self.backend!r}; "
@@ -114,21 +98,35 @@ class ExecutionConfig:
                     f"unknown shadow backend {self.shadow_backend!r}; "
                     f"known: {sorted(known)}"
                 )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1 or None")
-        if self.max_rounds < 1:
-            raise ConfigurationError("max_rounds must be >= 1")
-        if self.analytic_error_std < 0:
-            raise ConfigurationError("analytic_error_std must be >= 0")
-        if self.pipeline is not None and not isinstance(self.pipeline, bool):
+        if self.max_workers is not None and (
+            not _is_int(self.max_workers) or self.max_workers < 1
+        ):
             raise ConfigurationError(
-                "pipeline must be True, False, or None (auto)"
+                f"max_workers must be an integer >= 1 or None, "
+                f"got {self.max_workers!r}"
             )
-        if self.shards is not None:
-            if isinstance(self.shards, bool) or not isinstance(self.shards, int):
-                raise ConfigurationError("shards must be an integer or None")
-            if self.shards < 1:
-                raise ConfigurationError("shards must be >= 1 or None")
+        if not isinstance(self.full_simulation, bool):
+            raise ConfigurationError(
+                f"full_simulation must be True or False, "
+                f"got {self.full_simulation!r}"
+            )
+        if not _is_int(self.max_rounds) or self.max_rounds < 1:
+            raise ConfigurationError(
+                f"max_rounds must be an integer >= 1, got {self.max_rounds!r}"
+            )
+        # NaN compares false both ways, so ``max(0.8, gauss(1, nan))``
+        # would pin every analytic wobble at the floor: demand a finite
+        # non-negative number.
+        std = self.analytic_error_std
+        if (
+            isinstance(std, bool)
+            or not isinstance(std, (int, float))
+            or not math.isfinite(std)
+            or std < 0
+        ):
+            raise ConfigurationError(
+                f"analytic_error_std must be a finite number >= 0, got {std!r}"
+            )
         if self.trace is not None and not isinstance(
             self.trace, (str, os.PathLike)
         ):

@@ -23,7 +23,7 @@ concurrently with any worker count while producing the same bits as
 serial execution. Batches of independent specs are lowered by
 :mod:`repro.kernel` into picklable compiled measurements whose honest-
 relay per-second walk runs as numpy array arithmetic on a pluggable
-backend (``serial``/``thread``/``process``/``vector``); the stateful
+backend (``serial``/``process``/``vector``); the stateful
 per-second path below (:meth:`MeasurementEngine.execute`) remains the
 reference semantics and the fallback for adversarial relay behaviours
 and transcript sessions.
@@ -56,7 +56,7 @@ from repro.rng import fork
 from repro.tornet.relay import Relay
 from repro.tornet.relaycrypto import CircuitKey, establish_circuit_key
 from repro.units import bits_to_bytes
-from repro.workers import default_worker_count
+from repro.workers import workers_from_env
 
 #: Median Internet RTT used when no explicit topology is given
 #: (the tmodel dataset median the paper cites in Appendix D).
@@ -617,8 +617,6 @@ class MeasurementEngine:
         specs: Sequence[MeasurementSpec],
         max_workers: int | None = None,
         backend: str | None = None,
-        pipeline: bool | None = False,
-        shards: int | None = None,
     ) -> list[MeasurementOutcome]:
         """Run independent measurements through the kernel.
 
@@ -629,7 +627,7 @@ class MeasurementEngine:
 
         Specs are lowered to picklable :class:`repro.kernel.compile.\
 CompiledMeasurement` objects and executed by a kernel backend
-        (``serial``/``thread``/``process``/``vector``; see
+        (``serial``/``process``/``vector``; see
         :mod:`repro.kernel.backends`). ``backend`` overrides the
         ``FlashFlowParams.kernel_backend`` / ``FLASHFLOW_KERNEL_BACKEND``
         selection. Specs the kernel cannot compile (adversarial relay
@@ -640,24 +638,16 @@ CompiledMeasurement` objects and executed by a kernel backend
         execution entirely: the relay's token bucket and RNG are stateful
         and draw in slot order.
 
-        ``pipeline`` overlaps the (stateful, main-thread) compile stream
-        with worker execution on pool backends: ``True`` requests it,
-        ``None`` enables it automatically where the backend supports
-        streaming (``thread``/``process``), ``False`` (the default here)
-        keeps the historical compile-everything-then-execute batch.
-        Results are bit-identical either way -- compiled execution is
-        pure, so only scheduling changes.
-
-        ``shards`` partitions the compiled round into contiguous,
-        balanced parts handed to the backend as its chunk boundaries
-        (``ExecutionConfig(shards=)`` forwards here); the merge order is
-        deterministic, so results stay bit-identical to unsharded runs.
+        ``max_workers`` falls back to the engine's own cap, then the
+        validated ``FLASHFLOW_WORKERS`` override (a malformed value
+        raises here, whatever the backend); ``None`` leaves the pool
+        size to the backend.
         """
         specs = list(specs)
         if max_workers is None:
             max_workers = self.max_workers
         if max_workers is None:
-            max_workers = default_worker_count()
+            max_workers = workers_from_env()
         distinct_targets = len({id(s.target) for s in specs})
         if len(specs) <= 1 or distinct_targets < len(specs):
             from repro.obs.metrics import get_registry
@@ -672,14 +662,7 @@ CompiledMeasurement` objects and executed by a kernel backend
                 return [self.run(spec) for spec in specs]
         from repro.kernel import run_specs
 
-        return run_specs(
-            self,
-            specs,
-            backend=backend,
-            max_workers=max_workers,
-            pipeline=pipeline,
-            shards=shards,
-        )
+        return run_specs(self, specs, backend=backend, max_workers=max_workers)
 
     # ------------------------------------------------------------------
     # Analytic fast path (subsumes the old full_simulation=False branch)

@@ -48,10 +48,11 @@ class FlashFlowParams:
     #: value was 51 Mbit/s.
     new_relay_seed: float = mbit(51)
     #: Execution backend for batched measurement runs
-    #: (:mod:`repro.kernel.backends`): ``"serial"``, ``"thread"``,
-    #: ``"process"``, ``"vector"``, or ``"auto"``. ``None`` defers to the
-    #: ``FLASHFLOW_KERNEL_BACKEND`` environment variable, then ``auto``
-    #: (the vectorized in-process walk). Every backend produces
+    #: (:mod:`repro.kernel.backends`): ``"serial"``, ``"process"``,
+    #: ``"vector"``, or ``"auto"``; any other name fails with
+    #: ``ConfigurationError`` when a run resolves it. ``None`` defers to
+    #: the ``FLASHFLOW_KERNEL_BACKEND`` environment variable, then
+    #: ``auto`` (the vectorized in-process walk). Every backend produces
     #: bit-identical estimates; this only selects how the work is run.
     kernel_backend: str | None = None
 

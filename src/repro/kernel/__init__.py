@@ -11,7 +11,7 @@ This package is the execution layer beneath
   vectorized numpy array walks, bit-identical to the stateful
   :meth:`Relay.measured_second` path;
 - :mod:`repro.kernel.backends` schedules the walks on a pluggable
-  backend (``serial``/``thread``/``process``/``vector``).
+  backend (``serial``/``process``/``vector``).
 
 Relay behaviours compile through
 :meth:`repro.tornet.relay.RelayBehavior.kernel_program`: the honest
@@ -22,15 +22,9 @@ cross-relay :class:`repro.attacks.CollusionBehavior`) and transcript
 sessions -- fall back to the engine's stateful ``run`` path, preserving
 exact semantics for every spec.
 
-Two more execution modes live here:
-
-- :mod:`repro.kernel.analytic` lowers whole rounds of the engine's
-  closed-form ``analytic_estimate`` (the ``full_simulation=False``
-  campaign path) into one array walk, registered under the ``analytic``
-  backend name;
-- pipelined rounds (``run_specs(pipeline=...)``) overlap the stateful
-  compile stream with worker execution on pool backends, bit-identical
-  to the batch path.
+:mod:`repro.kernel.analytic` lowers whole rounds of the engine's
+closed-form ``analytic_estimate`` (the ``full_simulation=False``
+campaign path) into one array walk on every backend except ``serial``.
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ from repro.kernel.analytic import (
 from repro.kernel.backends import (
     BACKEND_ENV_VAR,
     KernelBackend,
-    KernelStream,
     backend_names,
     get_backend,
     register_backend,
@@ -71,7 +64,6 @@ __all__ = [
     "CompiledMeasurement",
     "KernelBackend",
     "KernelResult",
-    "KernelStream",
     "backend_names",
     "compile_analytic_round",
     "compile_measurement",
@@ -133,8 +125,6 @@ def run_specs(
     specs: Sequence,
     backend: str | None = None,
     max_workers: int | None = None,
-    pipeline: bool | None = False,
-    shards: int | None = None,
 ):
     """Run independent measurement specs through the kernel.
 
@@ -149,26 +139,6 @@ def run_specs(
     later specs in a mixed batch is not consulted), else the engine's
     params, the environment, and finally ``auto``. Results are
     bit-identical for every backend, so this only selects scheduling.
-
-    ``pipeline`` (``True``, or ``None`` for auto) overlaps compilation
-    with execution on backends that expose a worker pool
-    (``thread``/``process``): compilation still happens one spec at a
-    time in the calling thread, in spec order -- the stateful draws are
-    untouched -- but finished chunks are submitted to the pool
-    immediately, so workers execute the round's head while its tail is
-    still compiling, and the stateful fallback specs run on the calling
-    thread while the last chunks drain. Compiled execution is pure and
-    settlement still happens here, in spec order, so the pipelined round
-    is bit-identical to the batch path. Backends with no pool to overlap
-    with (``serial``/``vector``/``analytic``) ignore the flag.
-
-    ``shards`` partitions the compiled batch into that many contiguous,
-    balanced parts and hands the partition to the backend as its chunk
-    boundaries (worker pools execute one shard per task; in-process
-    backends walk the shards in order). Results are merged back in spec
-    order, so the sharded round is bit-identical to the unsharded one.
-    Sharding prescribes chunk boundaries, so it takes the batch path
-    (``pipeline`` is ignored when ``shards`` is set).
     """
     specs = list(specs)
     first_params = (specs[0].params or engine.params) if specs else None
@@ -189,72 +159,26 @@ def run_specs(
     # positions -- see repro.tornet.columnar.noise_row).
     predrawn = _predraw_noise(engine, specs) if specs else {}
 
-    stream = (
-        backend_obj.open_stream(len(specs), max_workers)
-        if (pipeline or pipeline is None) and shards is None
-        else None
-    )
-    if stream is not None:
-        try:
-            # Pipelined: the compile span covers the feed loop, so its
-            # wall time includes the stream.add submissions that overlap
-            # with worker execution (drain time shows up separately).
-            with tracer.span(
-                "round.compile",
-                backend=name, n_specs=len(specs), pipeline=True,
-            ):
-                for index, spec in enumerate(specs):
-                    cm = compile_measurement(
-                        engine, spec, index=index,
-                        predrawn_noise=predrawn.get(index),
-                    )
-                    if cm is None:
-                        fallback_indices.append(index)
-                    else:
-                        stream.add(cm)
-            # Stateful fallbacks run here while workers drain the tail.
-            if fallback_indices:
-                with tracer.span(
-                    "round.fallback", n_specs=len(fallback_indices)
-                ):
-                    for index in fallback_indices:
-                        results[index] = engine.run(specs[index])
-        except BaseException:
-            stream.close()
-            raise
-        with tracer.span("round.drain", backend=name):
-            kernel_results = stream.finish()
-    else:
-        compiled: list[CompiledMeasurement] = []
-        with tracer.span(
-            "round.compile", backend=name, n_specs=len(specs)
-        ):
-            for index, spec in enumerate(specs):
-                cm = compile_measurement(
-                    engine, spec, index=index,
-                    predrawn_noise=predrawn.get(index)
-                )
-                if cm is None:
-                    fallback_indices.append(index)
-                else:
-                    compiled.append(cm)
-        if fallback_indices:
-            with tracer.span(
-                "round.fallback", n_specs=len(fallback_indices)
-            ):
-                for index in fallback_indices:
-                    results[index] = engine.run(specs[index])
-        with tracer.span(
-            "round.execute",
-            backend=name, n_compiled=len(compiled), shards=shards,
-        ):
-            kernel_results = (
-                backend_obj.run(
-                    compiled, max_workers=max_workers, shards=shards
-                )
-                if compiled
-                else []
+    compiled: list[CompiledMeasurement] = []
+    with tracer.span("round.compile", backend=name, n_specs=len(specs)):
+        for index, spec in enumerate(specs):
+            cm = compile_measurement(
+                engine, spec, index=index, predrawn_noise=predrawn.get(index)
             )
+            if cm is None:
+                fallback_indices.append(index)
+            else:
+                compiled.append(cm)
+    if fallback_indices:
+        with tracer.span("round.fallback", n_specs=len(fallback_indices)):
+            for index in fallback_indices:
+                results[index] = engine.run(specs[index])
+    with tracer.span("round.execute", backend=name, n_compiled=len(compiled)):
+        kernel_results = (
+            backend_obj.run(compiled, max_workers=max_workers)
+            if compiled
+            else []
+        )
 
     registry.counter("kernel.specs.compiled").inc(
         len(specs) - len(fallback_indices)

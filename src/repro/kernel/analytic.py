@@ -31,13 +31,12 @@ non-NaN inputs), so estimates, thresholds, and accept decisions are
 oracle suite in ``tests/kernel/test_analytic.py`` asserts exact ``==``.
 
 Backend selection reuses the kernel registry
-(:mod:`repro.kernel.backends`): the ``analytic`` name is registered
-alongside ``serial``/``thread``/``process``/``vector``, and
-:func:`run_analytic_round` resolves the usual chain (explicit argument >
-``FlashFlowParams.kernel_backend`` > ``FLASHFLOW_KERNEL_BACKEND`` >
-``auto``). ``serial`` keeps the historical scalar loop alive for
-debugging granularity; every other backend runs the single array walk
-(an elementwise O(n) pass gains nothing from thread/process chunking).
+(:mod:`repro.kernel.backends`): :func:`run_analytic_round` resolves the
+usual chain (explicit argument > ``FlashFlowParams.kernel_backend`` >
+``FLASHFLOW_KERNEL_BACKEND`` > ``auto``). ``serial`` keeps the
+historical scalar loop alive for debugging granularity; every other
+backend runs the single array walk (an elementwise O(n) pass gains
+nothing from process chunking).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import numpy as np
 
 from repro.core.engine import MeasurementEngine
 from repro.core.params import FlashFlowParams
-from repro.kernel.backends import _shard_parts, resolve_backend_name
+from repro.kernel.backends import resolve_backend_name
 from repro.obs.trace import get_tracer
 
 _ALLOCATED = attrgetter("allocated")
@@ -191,7 +190,6 @@ def run_analytic_round(
     jobs: Sequence,
     params: FlashFlowParams | None = None,
     backend: str | None = None,
-    shards: int | None = None,
 ) -> AnalyticRoundResult:
     """Run one round of analytic estimates on the selected backend.
 
@@ -201,21 +199,11 @@ def run_analytic_round(
     reference -- one :meth:`MeasurementEngine.analytic_estimate` call per
     job, fold decisions left to the caller -- and every other backend
     runs the compiled array walk. Both produce bit-identical campaigns.
-
-    ``shards`` partitions the round's jobs into that many contiguous,
-    balanced parts and walks the parts in order, concatenating the
-    per-part results -- elementwise ops over a contiguous partition, so
-    the sharded round is bit-identical to the unsharded one (the
-    ``serial`` reference loop already walks jobs one at a time and
-    ignores the flag).
     """
     params = params or engine.params or FlashFlowParams()
     name = resolve_backend_name(backend, params.kernel_backend)
-    tracer = get_tracer()
-    if name == "serial":
-        with tracer.span(
-            "round.analytic", backend=name, n_jobs=len(jobs)
-        ):
+    with get_tracer().span("round.analytic", backend=name, n_jobs=len(jobs)):
+        if name == "serial":
             return AnalyticRoundResult(
                 estimates=[
                     engine.analytic_estimate(
@@ -223,19 +211,5 @@ def run_analytic_round(
                     )
                     for job in jobs
                 ]
-            )
-    with tracer.span(
-        "round.analytic", backend=name, n_jobs=len(jobs), shards=shards
-    ):
-        if shards is not None and shards > 1 and len(jobs) > 1:
-            parts = _shard_parts(list(jobs), shards)
-            results = [
-                execute_analytic_round(compile_analytic_round(part, params))
-                for part in parts
-            ]
-            return AnalyticRoundResult(
-                estimates=[z for r in results for z in r.estimates],
-                thresholds=[t for r in results for t in r.thresholds],
-                accepted=[a for r in results for a in r.accepted],
             )
         return execute_analytic_round(compile_analytic_round(jobs, params))

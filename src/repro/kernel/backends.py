@@ -7,15 +7,13 @@ Because compiled execution is pure, **every backend produces bit-
 identical results**; backends differ only in how the work is scheduled:
 
 - ``serial``  -- one measurement at a time, in the calling thread (the
-  baseline granularity: each measurement is its own array walk).
-- ``thread``  -- a ``ThreadPoolExecutor`` over *chunks*, each chunk one
-  vectorized batch walk (numpy releases the GIL for the array ops).
+  baseline granularity: each measurement is its own array walk; the
+  reference the test suites compare against).
 - ``process`` -- a persistent ``ProcessPoolExecutor`` over chunks of the
   picklable compiled measurements; each worker executes its chunk as one
-  vectorized batch walk. Real parallel speedup for campaign-scale
-  batches: workers recompute the heavy pure half (TCP ramps, the array
-  walk, verification crypto) outside the parent's GIL, and even a single
-  worker beats ``serial`` by batching its chunks.
+  vectorized batch walk, shipped through shared memory
+  (:mod:`repro.kernel.shm`). Workers recompute the heavy pure half (TCP
+  ramps, the array walk, verification crypto) outside the parent's GIL.
 - ``vector``  -- the whole batch as one vectorized numpy array walk
   (:func:`repro.kernel.supply.execute_batch`); the fastest in-process
   option and the ``auto`` default.
@@ -29,10 +27,9 @@ from __future__ import annotations
 
 import atexit
 import os
-from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.kernel.compile import CompiledMeasurement
@@ -45,7 +42,7 @@ from repro.kernel.shm import (
 from repro.kernel.supply import KernelResult, execute_batch, execute_compiled
 from repro.obs.metrics import get_registry, warn_once
 from repro.obs.trace import get_tracer
-from repro.workers import default_worker_count, workers_from_env
+from repro.workers import workers_from_env
 
 #: Environment variable consulted when params leave the backend unset.
 BACKEND_ENV_VAR = "FLASHFLOW_KERNEL_BACKEND"
@@ -72,223 +69,20 @@ def _note_pool_rebuild() -> None:
     )
 
 
-def _traced_chunk(tracer, chunk, parent_id):
-    """Execute one chunk under a worker-side span (thread pools only).
-
-    Worker threads share the campaign's tracer but have empty span
-    stacks, so the dispatcher captures its current span id and the
-    chunk parents explicitly.
-    """
-    with tracer.span(
-        "kernel.chunk",
-        parent_id=parent_id,
-        n_compiled=len(chunk),
-        transport="inline",
-    ):
-        return execute_batch(chunk)
-
-
-def _chunk_target(n: int, workers: int) -> int:
-    """Chunk size for a batch of ``n`` over a ``workers``-wide pool.
+def _chunks(
+    compiled: Sequence[CompiledMeasurement], workers: int
+) -> list[list[CompiledMeasurement]]:
+    """Split a batch into contiguous chunks for a ``workers``-wide pool.
 
     With several workers, ~4 chunks per worker balances load against
     vectorization width; a single worker gets the whole batch as one
     chunk (splitting would only add dispatch round trips). Chunks never
-    shrink below :data:`MIN_CHUNK`. The streaming path uses the same
-    sizing; chunk boundaries never affect results (each measurement's
-    walk is independent), only scheduling.
+    shrink below :data:`MIN_CHUNK`. Chunk boundaries never affect
+    results (each measurement's walk is independent), only scheduling.
     """
     n_chunks = workers * 4 if workers > 1 else 1
-    return max(MIN_CHUNK, -(-n // n_chunks))
-
-
-def _chunks(
-    compiled: Sequence[CompiledMeasurement], workers: int
-) -> list[list[CompiledMeasurement]]:
-    """Split a batch into contiguous chunks for a worker pool."""
-    target = _chunk_target(len(compiled), workers)
+    target = max(MIN_CHUNK, -(-len(compiled) // n_chunks))
     return [list(compiled[i : i + target]) for i in range(0, len(compiled), target)]
-
-
-def _shard_parts(
-    compiled: Sequence[CompiledMeasurement], shards: int
-) -> list[list[CompiledMeasurement]]:
-    """Partition a batch into ``shards`` contiguous, balanced parts.
-
-    Campaign sharding (``ExecutionConfig(shards=)``) prescribes the
-    chunk boundaries instead of :func:`_chunk_target`'s sizing.  Every
-    measurement's walk is independent and parts are merged back in
-    input order, so shard count never affects results -- only which
-    worker executes which contiguous slice of the round.
-    """
-    n = len(compiled)
-    k = max(1, min(shards, n))
-    base, extra = divmod(n, k)
-    parts = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        parts.append(list(compiled[start : start + size]))
-        start += size
-    return parts
-
-
-def _partition(
-    compiled: Sequence[CompiledMeasurement],
-    workers: int,
-    shards: int | None,
-) -> list[list[CompiledMeasurement]]:
-    if shards is not None and shards > 1:
-        return _shard_parts(compiled, shards)
-    return _chunks(compiled, workers)
-
-
-class KernelStream:
-    """A bounded pipeline of compiled-measurement chunks over a pool.
-
-    The caller feeds compiled measurements one at a time (in spec order,
-    preserving the stateful compile order) via :meth:`add`; full chunks
-    are submitted to the pool immediately, so workers execute earlier
-    chunks while the caller is still compiling later specs.
-    :meth:`finish` flushes the tail chunk and returns every result in
-    submission (= input) order -- the same concatenation the batch path
-    produces, so results are bit-identical to an unpipelined run.
-
-    In-flight chunks are bounded: once ``max_in_flight`` futures are
-    outstanding, :meth:`add` harvests the oldest before submitting more
-    (the single-round lookahead bound -- memory stays proportional to the
-    pool, not the round). Submitted chunks are retained until their
-    results arrive so a broken process pool can be rebuilt -- once, like
-    the batch path's single retry -- and the lost chunks re-executed
-    (compiled measurements are pure; re-execution is safe).
-
-    The pool itself is acquired lazily on the first flushed chunk, so a
-    round whose specs all fall back to the stateful path never spawns
-    workers (matching the batch path, which only touches the backend
-    when something compiled).
-    """
-
-    def __init__(
-        self,
-        pool_factory: Callable[[], Executor],
-        chunk_target: int,
-        max_in_flight: int,
-        owns_pool: bool,
-        rebuild: Callable[[], Executor] | None = None,
-        shm_transport: bool = False,
-    ) -> None:
-        self._pool_factory = pool_factory
-        self._pool: Executor | None = None
-        self._chunk_target = max(1, chunk_target)
-        self._max_in_flight = max(1, max_in_flight)
-        self._owns_pool = owns_pool
-        self._rebuild = rebuild
-        self._rebuilt = False
-        #: Ship chunk arrays through shared memory (process pools only).
-        #: Cleared on the first pack failure so an exhausted /dev/shm
-        #: degrades to plain pickling instead of aborting the round.
-        self._shm = shm_transport
-        self._chunk: list[CompiledMeasurement] = []
-        #: (chunk, payload, handle, future) awaiting results, oldest
-        #: first; payload/handle are None for plain-pickled chunks.
-        self._pending: deque = deque()
-        self._results: list[KernelResult] = []
-
-    def add(self, cm: CompiledMeasurement) -> None:
-        self._chunk.append(cm)
-        if len(self._chunk) >= self._chunk_target:
-            self._flush()
-
-    def _submit(self, chunk, payload):
-        if payload is not None:
-            return self._pool.submit(execute_batch_shm, payload)
-        return self._pool.submit(execute_batch, chunk)
-
-    def _flush(self) -> None:
-        if not self._chunk:
-            return
-        if self._pool is None:
-            self._pool = self._pool_factory()
-        if len(self._pending) >= self._max_in_flight:
-            self._harvest_oldest()
-        chunk = self._chunk
-        self._chunk = []
-        payload = handle = None
-        if self._shm:
-            payload, handle = pack_chunk(chunk)
-            if payload is None:
-                # pack_chunk already counted and warned; remember the
-                # degradation so later chunks skip the doomed pack.
-                self._shm = False
-        self._pending.append((chunk, payload, handle, self._submit(chunk, payload)))
-        registry = get_registry()
-        registry.counter("kernel.stream.chunks").inc()
-        registry.gauge("kernel.stream.in_flight").set(len(self._pending))
-
-    def _harvest_oldest(self) -> None:
-        chunk, payload, handle, future = self._pending.popleft()
-        try:
-            with get_tracer().span(
-                "kernel.chunk",
-                n_compiled=len(chunk),
-                transport="shm" if handle is not None else "pickle",
-            ):
-                out = future.result()
-        except BrokenProcessPool:
-            if self._rebuild is None or self._rebuilt:
-                # Second failure (or a pool that cannot be rebuilt): a
-                # chunk that deterministically kills its worker must
-                # surface, not loop respawning pools.
-                if handle is not None:
-                    handle.dispose()
-                raise
-            # A worker died mid-round (OOM kill, signal): rebuild the
-            # pool once and re-run every chunk whose results were lost,
-            # in order -- the batch path's single-retry contract.  Shm
-            # blocks are only unlinked after harvest, so the packed
-            # payloads stay valid for resubmission.
-            _note_pool_rebuild()
-            self._rebuilt = True
-            lost = [(chunk, payload, handle)] + [
-                entry[:3] for entry in self._pending
-            ]
-            self._pending.clear()
-            self._pool = self._rebuild()
-            for lost_chunk, lost_payload, lost_handle in lost:
-                self._pending.append(
-                    (
-                        lost_chunk,
-                        lost_payload,
-                        lost_handle,
-                        self._submit(lost_chunk, lost_payload),
-                    )
-                )
-            while self._pending:
-                self._harvest_oldest()
-            return
-        if handle is not None:
-            self._results.extend(unpack_chunk(out, handle))
-        else:
-            self._results.extend(out)
-
-    def finish(self) -> list[KernelResult]:
-        """Flush the tail and collect every result, in input order."""
-        try:
-            self._flush()
-            while self._pending:
-                self._harvest_oldest()
-            return self._results
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        """Release the pool (cancelling stragglers on an aborted round)."""
-        for _, _, handle, future in self._pending:
-            future.cancel()
-            if handle is not None:
-                handle.dispose()
-        if self._owns_pool and self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 class KernelBackend:
@@ -300,21 +94,8 @@ class KernelBackend:
         self,
         compiled: Sequence[CompiledMeasurement],
         max_workers: int | None = None,
-        shards: int | None = None,
     ) -> list[KernelResult]:
         raise NotImplementedError
-
-    def open_stream(
-        self, n_specs: int, max_workers: int | None = None
-    ) -> KernelStream | None:
-        """A :class:`KernelStream` for pipelined rounds, or ``None``.
-
-        ``None`` means this backend has no workers to overlap with (the
-        in-process ``serial``/``vector``/``analytic`` walks) or the batch
-        is too small to be worth streaming; the caller falls back to the
-        compile-everything-then-:meth:`run` batch path.
-        """
-        return None
 
 
 class SerialBackend(KernelBackend):
@@ -322,7 +103,7 @@ class SerialBackend(KernelBackend):
 
     name = "serial"
 
-    def run(self, compiled, max_workers=None, shards=None):
+    def run(self, compiled, max_workers=None):
         return [execute_compiled(cm) for cm in compiled]
 
 
@@ -331,54 +112,8 @@ class VectorBackend(KernelBackend):
 
     name = "vector"
 
-    def run(self, compiled, max_workers=None, shards=None):
-        if shards is not None and shards > 1:
-            # Per-measurement walks are independent, so executing the
-            # shard partitions separately and concatenating in order is
-            # bit-identical to the single batched walk.
-            return [
-                result
-                for part in _shard_parts(compiled, shards)
-                for result in execute_batch(part)
-            ]
+    def run(self, compiled, max_workers=None):
         return execute_batch(compiled)
-
-
-class ThreadBackend(KernelBackend):
-    """A thread pool over chunked vectorized walks."""
-
-    name = "thread"
-
-    def run(self, compiled, max_workers=None, shards=None):
-        workers = max_workers or default_worker_count()
-        if workers <= 1 or len(compiled) <= 1:
-            return execute_batch(compiled)
-        tracer = get_tracer()
-        parts = _partition(compiled, workers, shards)
-        if tracer.enabled:
-            # Chunk spans run *in* the worker threads (they share the
-            # process-global tracer) and parent to the dispatcher's
-            # current span explicitly.
-            parent_id = tracer.current_span_id()
-            run_chunk = (
-                lambda chunk: _traced_chunk(tracer, chunk, parent_id)
-            )
-        else:
-            run_chunk = execute_batch
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_results = pool.map(run_chunk, parts)
-        return [result for chunk in chunk_results for result in chunk]
-
-    def open_stream(self, n_specs, max_workers=None):
-        workers = max_workers or default_worker_count()
-        if workers <= 1 or n_specs <= MIN_CHUNK:
-            return None
-        return KernelStream(
-            pool_factory=lambda: ThreadPoolExecutor(max_workers=workers),
-            chunk_target=_chunk_target(n_specs, workers),
-            max_in_flight=workers * 4,
-            owns_pool=True,
-        )
 
 
 class ProcessBackend(KernelBackend):
@@ -413,19 +148,18 @@ class ProcessBackend(KernelBackend):
 
     def _workers(self, max_workers: int | None) -> int:
         # The walks are CPU-bound: more worker processes than cores only
-        # adds interpreter memory and context switches (the engine's
-        # cpu+4 default is sized for its historical thread pool), so
-        # even an explicit request -- max_workers argument or the
+        # adds interpreter memory and context switches, so even an
+        # explicit request -- max_workers argument or the
         # FLASHFLOW_WORKERS override -- is clamped to the core count.
         cpus = os.cpu_count() or 1
         requested = max_workers if max_workers is not None else workers_from_env()
         return max(1, min(requested or cpus, cpus, 32))
 
-    def run(self, compiled, max_workers=None, shards=None):
+    def run(self, compiled, max_workers=None):
         workers = self._workers(max_workers)
         if len(compiled) <= 1:
             return execute_batch(compiled)
-        chunks = _partition(compiled, workers, shards)
+        chunks = _chunks(compiled, workers)
         if shm_enabled():
             packed = []
             for chunk in chunks:
@@ -498,42 +232,6 @@ class ProcessBackend(KernelBackend):
                 packed[j][1].dispose()
         return results
 
-    def open_stream(self, n_specs, max_workers=None):
-        workers = self._workers(max_workers)
-        if n_specs <= MIN_CHUNK:
-            return None
-
-        def rebuild() -> ProcessPoolExecutor:
-            self.shutdown()
-            return self._get_pool(workers)
-
-        # The persistent pool outlives the stream (owns_pool=False):
-        # campaigns open one stream per round and respawning workers
-        # each round would dominate the round's wall time.
-        return KernelStream(
-            pool_factory=lambda: self._get_pool(workers),
-            chunk_target=_chunk_target(n_specs, workers),
-            max_in_flight=workers * 4,
-            owns_pool=False,
-            rebuild=rebuild,
-            shm_transport=shm_enabled(),
-        )
-
-
-class AnalyticBackend(VectorBackend):
-    """The analytic estimation kernel's registry entry.
-
-    Selecting ``analytic`` makes the ``full_simulation=False`` campaign
-    path run whole rounds of analytic estimates as one array walk
-    (:mod:`repro.kernel.analytic`) -- which every backend except
-    ``serial`` does anyway; the name exists so configs can ask for the
-    analytic kernel explicitly. For compiled full-simulation
-    measurements it behaves exactly like ``vector`` (one batched array
-    walk, bit-identical to every other backend).
-    """
-
-    name = "analytic"
-
 
 _BACKENDS: dict[str, KernelBackend] = {}
 
@@ -546,9 +244,7 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 
 register_backend(SerialBackend())
 register_backend(VectorBackend())
-register_backend(ThreadBackend())
 register_backend(ProcessBackend())
-register_backend(AnalyticBackend())
 
 
 def backend_names() -> list[str]:

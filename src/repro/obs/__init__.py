@@ -3,16 +3,16 @@
 A zero-dependency observability subsystem with three pillars:
 
 - **tracer** (:mod:`repro.obs.trace`): hierarchical spans (``campaign >
-  period > round > compile/execute/settle``, per-backend-chunk and
+  period > round > compile/execute/settle``, process-pool chunk and
   shadow-churn children) with wall/CPU time and attached attributes.
   The ambient tracer defaults to the no-op :data:`NULL_TRACER`;
   ``ExecutionConfig(trace=PATH)`` (or ``python -m repro.api --trace``)
   installs a recording tracer streaming to a JSONL file.
 - **metrics** (:mod:`repro.obs.metrics`): counters / gauges /
   histograms at the choke points -- rounds retried, stateful-path
-  fallbacks, shm allocations and fallbacks, pool rebuilds, stream
-  queue depth -- plus :func:`warn_once` so silent degradations surface
-  exactly once per process.
+  fallbacks, shm allocations and fallbacks, pool rebuilds -- plus
+  :func:`warn_once` so silent degradations surface exactly once per
+  process.
 - **exporters** (:mod:`repro.obs.export`): the incremental
   ``flashflow-trace/1`` JSONL writer with a run manifest (seed,
   scenario, backend, cpu_count, git rev) and a plain-text summary

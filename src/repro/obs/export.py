@@ -6,9 +6,9 @@ an analyzable prefix:
 
 - line 1 is always the **manifest** (``type: "manifest"``): schema
   name, run id, scenario name and seed, execution knobs (backend,
-  shards, pipeline, full_simulation), ``cpu_count``, python version,
-  and the git revision when available -- everything needed to interpret
-  (or reproduce) the run;
+  shadow backend, full_simulation, max_rounds), ``cpu_count``, python
+  version, and the git revision when available -- everything needed to
+  interpret (or reproduce) the run;
 - **span** records (``type: "span"``) follow as spans close, children
   before their parents (a span closes before the span that opened it);
   parent ids always refer to earlier-allocated ids, so the file's span
@@ -73,8 +73,8 @@ def run_manifest(
 ) -> dict:
     """The ``type: "manifest"`` record for one traced run.
 
-    ``extra`` keys (shards, pipeline, full_simulation, periods, ...)
-    are merged in verbatim; provenance fields (cpu_count, python,
+    ``extra`` keys (full_simulation, periods, max_rounds, ...) are
+    merged in verbatim; provenance fields (cpu_count, python,
     git_rev, generated_unix, run_id) are always present.
     """
     manifest = {

@@ -2,9 +2,9 @@
 
 Instrumented at the campaign/kernel choke points -- rounds retried,
 specs fallen back to the stateful path, shared-memory allocations and
-fallbacks, pool rebuilds, stream queue depth, bytes shipped -- at
-round/chunk granularity, never per second, so the always-on cost is a
-dict lookup and an integer add per event.
+fallbacks, pool rebuilds, bytes shipped -- at round/chunk granularity,
+never per second, so the always-on cost is a dict lookup and an
+integer add per event.
 
 Two registries matter in practice:
 

@@ -1,10 +1,10 @@
 """Hierarchical tracing spans with a zero-overhead disabled path.
 
 A :class:`Tracer` produces a tree of :class:`Span` records --
-``campaign > period > round > compile/execute/settle``, per-backend
+``campaign > period > round > compile/execute/settle``, process-pool
 chunk children, shadow-kernel churn spans -- each carrying wall *and*
-CPU time plus free-form attributes (slot counts, shard ids, backend
-name, transport). Instrumentation sits at round/chunk granularity,
+CPU time plus free-form attributes (slot counts, backend name,
+transport). Instrumentation sits at round/chunk granularity,
 never inside the per-second numpy walks, so a recording tracer costs a
 handful of span objects per campaign round.
 
@@ -16,11 +16,10 @@ perturbs results either way -- spans only read clocks, never RNGs --
 which is what lets the bit-identity oracle suites run with tracing on.
 
 Parenting: each tracer keeps a per-thread stack of open spans; a span
-opened while another is open on the same thread becomes its child.
-Worker threads (the ``thread`` backend's chunk walks) have empty
-stacks, so they parent explicitly via ``span(..., parent_id=...)``.
-Worker *processes* see the module-global null tracer; their chunks are
-traced from the parent side (submit-to-harvest spans).
+opened while another is open on the same thread becomes its child, and
+a span opened on a thread with no open span is a root. Worker
+*processes* see the module-global null tracer; their chunks are traced
+from the parent side (submit-to-harvest spans).
 """
 
 from __future__ import annotations
@@ -79,11 +78,8 @@ class NullTracer:
     enabled = False
     spans: tuple = ()
 
-    def span(self, name, parent_id=None, **attrs) -> NullSpan:
+    def span(self, name, **attrs) -> NullSpan:
         return NULL_SPAN
-
-    def current_span_id(self) -> None:
-        return None
 
     def finish(self, registry=None) -> None:
         return None
@@ -189,28 +185,15 @@ class Tracer:
 
     # -- span lifecycle -------------------------------------------------
 
-    def span(self, name: str, parent_id: int | None = None, **attrs) -> Span:
+    def span(self, name: str, **attrs) -> Span:
         """A new span; enter it (``with``) to start the clocks.
 
-        Parent resolution: an explicit ``parent_id`` wins (worker
-        threads use this -- their stacks are empty); otherwise the
-        innermost open span on the *calling* thread; otherwise root.
-        """
-        if parent_id is None:
-            stack = getattr(self._local, "stack", None)
-            if stack:
-                parent_id = stack[-1].span_id
-        return Span(self, name, next(self._ids), parent_id, attrs)
-
-    def current_span_id(self) -> int | None:
-        """The innermost open span id on this thread, or None.
-
-        Pool dispatchers capture this before fanning out so worker
-        threads can parent their chunk spans explicitly (their own
-        stacks are empty).
+        Its parent is the innermost open span on the *calling* thread,
+        or none (a root span).
         """
         stack = getattr(self._local, "stack", None)
-        return stack[-1].span_id if stack else None
+        parent_id = stack[-1].span_id if stack else None
+        return Span(self, name, next(self._ids), parent_id, attrs)
 
     def _push(self, span: Span) -> None:
         stack = getattr(self._local, "stack", None)
@@ -249,12 +232,12 @@ class Tracer:
 # The ambient tracer
 # ----------------------------------------------------------------------
 #
-# A plain module global, deliberately *not* a contextvar: the thread
-# backend's pool workers must see the same tracer as the campaign
-# thread, and ThreadPoolExecutor tasks run in the worker thread's own
-# (empty) context. Process-pool workers import the module fresh and see
-# the null tracer, which is exactly right -- their chunks are traced
-# parent-side.
+# A plain module global, deliberately *not* a contextvar: the service
+# daemon runs each period's campaign in an executor thread, which must
+# see the same tracer as the thread that installed it, and executor
+# tasks run in the worker thread's own (empty) context. Process-pool
+# workers import the module fresh and see the null tracer, which is
+# exactly right -- their chunks are traced parent-side.
 
 _current: NullTracer | Tracer = NULL_TRACER
 

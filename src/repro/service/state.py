@@ -44,6 +44,10 @@ __all__ = ["NetworkTable", "RelayRow", "ServiceConfig", "Snapshot"]
 #: ``flashflow-trace/1``).
 SERVICE_SCHEMA = "flashflow-service/1"
 
+#: Execution knobs older journals still carry. Neither ever changed a
+#: result, so a journal that records them resumes without them.
+_RETIRED_EXECUTION_KEYS = frozenset({"pipeline", "shards"})
+
 
 @dataclass(frozen=True)
 class RelayRow:
@@ -255,6 +259,11 @@ class ServiceConfig:
     @classmethod
     def from_dict(cls, record: dict) -> "ServiceConfig":
         churn = record.get("churn")
+        execution = {
+            key: value
+            for key, value in record.get("execution", {}).items()
+            if key not in _RETIRED_EXECUTION_KEYS
+        }
         return cls(
             scenario=record["scenario"],
             overrides=dict(record.get("overrides", {})),
@@ -263,7 +272,7 @@ class ServiceConfig:
             publish_every=int(record.get("publish_every", 1)),
             out_dir=record.get("out_dir"),
             churn=ChurnConfig.from_dict(churn) if churn else None,
-            execution=ExecutionConfig(**record.get("execution", {})),
+            execution=ExecutionConfig(**execution),
             clock=record.get("clock", "simulated"),
             seed=record.get("seed"),
         )

@@ -180,7 +180,7 @@ def flashflow_weights_for(
     (:class:`repro.api.Campaign`): the whole-network measurement runs
     through the authority's shared :class:`MeasurementEngine` and the
     vectorized kernel -- each campaign round is one batched array walk
-    (or a ``thread``/``process`` pool via ``backend``) rather than a
+    (or a ``process`` pool via ``backend``) rather than a
     hand-rolled per-relay loop. Estimates are bit-identical for every
     backend/worker choice.
     """

@@ -1,11 +1,10 @@
-"""Worker-count policy shared by the kernel backends and the engine.
+"""The ``FLASHFLOW_WORKERS`` worker-count override.
 
-Every parallel execution path (thread pool, process pool, the engine's
-``run_many``) previously hard-coded the same heuristic --
-``min(32, (os.cpu_count() or 1) + 4)``, mirroring the stdlib's
-``ThreadPoolExecutor`` default.  It now lives here once, together with
-the ``FLASHFLOW_WORKERS`` environment override so operators can pin the
-pool size without touching call sites.
+Operators pin the kernel's worker-pool size with this environment
+variable instead of touching call sites. :meth:`repro.core.engine.\
+MeasurementEngine.run_many` reads it (validated) whenever neither the
+call nor the engine sets ``max_workers``, whatever the backend; the
+``process`` backend clamps any request to the machine's core count.
 """
 
 from __future__ import annotations
@@ -14,11 +13,8 @@ import os
 
 from repro.errors import ConfigurationError
 
-#: Environment variable overriding the default worker count everywhere.
+#: Environment variable overriding the worker count everywhere.
 WORKERS_ENV = "FLASHFLOW_WORKERS"
-
-#: Upper bound on the heuristic default (stdlib executor convention).
-MAX_DEFAULT_WORKERS = 32
 
 
 def workers_from_env() -> int | None:
@@ -26,7 +22,7 @@ def workers_from_env() -> int | None:
 
     Fails fast with :class:`ConfigurationError` on non-integer or
     non-positive values so a typo'd deployment knob cannot silently fall
-    back to the heuristic.
+    back to the default.
     """
     raw = os.environ.get(WORKERS_ENV)
     if raw is None or raw.strip() == "":
@@ -42,22 +38,3 @@ def workers_from_env() -> int | None:
             f"{WORKERS_ENV} must be positive, got {value}"
         )
     return value
-
-
-def default_worker_count() -> int:
-    """The worker count used when a caller does not pass ``max_workers``.
-
-    ``FLASHFLOW_WORKERS`` wins when set (validated); otherwise the stdlib
-    thread-pool heuristic ``min(32, cpu_count + 4)``.
-    """
-    override = workers_from_env()
-    if override is not None:
-        return override
-    return min(MAX_DEFAULT_WORKERS, (os.cpu_count() or 1) + 4)
-
-
-def resolve_worker_count(max_workers: int | None) -> int:
-    """``max_workers`` when given, else :func:`default_worker_count`."""
-    if max_workers is not None:
-        return max_workers
-    return default_worker_count()

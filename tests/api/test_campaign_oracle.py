@@ -20,7 +20,7 @@ from repro.core.netmeasure import CampaignResult
 from repro.rng import fork
 from tests.oracles.slot_pack import reference_first_fit
 
-BACKENDS = ("serial", "thread", "process", "vector")
+BACKENDS = ("serial", "process", "vector")
 
 
 def _reference_measure_network(

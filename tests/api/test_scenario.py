@@ -96,10 +96,44 @@ def test_adversary_spec_rejects_unknown_name_and_bad_fraction():
     {"max_workers": 0},
     {"max_rounds": 0},
     {"analytic_error_std": -0.1},
+    {"backend": "thread"},  # retired backends are unknown names now
+    {"backend": "analytic"},
+    # NaN would pin every analytic wobble at the 0.8 floor.
+    {"analytic_error_std": float("nan")},
+    {"analytic_error_std": float("inf")},
+    {"analytic_error_std": "0.02"},
+    {"analytic_error_std": True},
+    {"max_rounds": 2.5},
+    {"max_rounds": True},
+    {"max_rounds": "8"},
+    {"max_workers": 2.5},
+    {"max_workers": True},
+    {"max_workers": "4"},
+    {"full_simulation": "no"},
+    {"full_simulation": 1},
+    {"full_simulation": None},
 ])
 def test_execution_config_rejects_bad_fields(kwargs):
-    with pytest.raises(ConfigurationError):
+    (field,) = kwargs
+    with pytest.raises(ConfigurationError, match=field):
         ExecutionConfig(**kwargs)
+
+
+def test_execution_config_unknown_backend_lists_the_known_ones():
+    with pytest.raises(ConfigurationError) as excinfo:
+        ExecutionConfig(backend="thread")
+    message = str(excinfo.value)
+    for name in ("auto", "process", "serial", "vector"):
+        assert repr(name) in message
+
+
+def test_execution_config_accepts_boundary_values():
+    config = ExecutionConfig(
+        max_workers=1, max_rounds=1, analytic_error_std=0,
+        full_simulation=False,
+    )
+    assert (config.max_workers, config.max_rounds) == (1, 1)
+    assert ExecutionConfig(analytic_error_std=0.5).analytic_error_std == 0.5
 
 
 def test_execution_config_with_backend():

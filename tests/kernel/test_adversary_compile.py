@@ -157,7 +157,7 @@ def _mixed_specs(team, seed0):
     return specs
 
 
-@pytest.mark.parametrize("backend", ["process", "thread"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_mixed_adversary_batch_pool_backends(team, backend):
     """All four attacks plus honest relays through a worker pool: the
     shm/pickle transports round-trip failure truncation, forge counts,

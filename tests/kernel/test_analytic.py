@@ -20,7 +20,6 @@ from repro.kernel.analytic import (
     execute_analytic_round,
     run_analytic_round,
 )
-from repro.kernel.backends import backend_names
 from repro.rng import fork
 from repro.tornet.network import synthesize_network
 from repro.tornet.relay import Relay
@@ -70,7 +69,7 @@ def _round_jobs(n=40, seed=3):
 def test_round_walk_matches_scalar_loop_exactly(seed):
     params, jobs = _round_jobs(seed=seed)
     engine = MeasurementEngine()
-    result = run_analytic_round(engine, jobs, params, backend="analytic")
+    result = run_analytic_round(engine, jobs, params, backend="vector")
     for i, job in enumerate(jobs):
         z = engine.analytic_estimate(job.relay, job.assignments, params, job.wobble)
         threshold = params.acceptance_threshold(total_allocated(job.assignments))
@@ -165,7 +164,7 @@ def test_analytic_campaigns_identical_across_backends(seed_net, seed_auth):
         "serial", seed_net=seed_net, seed_auth=seed_auth
     )
     assert len(reference.estimates) > 0
-    for backend in (None, "vector", "analytic", "thread", "process"):
+    for backend in (None, "vector", "process"):
         report = _analytic_campaign(
             backend, seed_net=seed_net, seed_auth=seed_auth
         )
@@ -182,7 +181,7 @@ def test_analytic_campaigns_identical_across_prior_shapes(priors):
         "serial", seed_net=41, seed_auth=42, priors=priors
     )
     report = _analytic_campaign(
-        "analytic", seed_net=41, seed_auth=42, priors=priors
+        "vector", seed_net=41, seed_auth=42, priors=priors
     )
     _assert_reports_identical(reference, report)
 
@@ -194,7 +193,7 @@ def test_analytic_campaigns_identical_across_background_forms():
             "serial", seed_net=51, seed_auth=52, background=background
         )
         report = _analytic_campaign(
-            "analytic", seed_net=51, seed_auth=52, background=background
+            "vector", seed_net=51, seed_auth=52, background=background
         )
         _assert_reports_identical(reference, report)
 
@@ -204,17 +203,7 @@ def test_multi_period_analytic_deployment_identical():
         "serial", seed_net=61, seed_auth=62, periods=3, n_relays=20
     )
     report = _analytic_campaign(
-        "analytic", seed_net=61, seed_auth=62, periods=3, n_relays=20
+        "vector", seed_net=61, seed_auth=62, periods=3, n_relays=20
     )
     _assert_reports_identical(reference, report)
     assert len(reference.period_results) == 3
-
-
-# ---------------------------------------------------------------------------
-# Registry integration
-# ---------------------------------------------------------------------------
-
-def test_analytic_backend_is_registered():
-    assert "analytic" in backend_names()
-    # ExecutionConfig validates against the live registry.
-    ExecutionConfig(backend="analytic")

@@ -38,13 +38,13 @@ def _write_trace(path, n_children=2):
 
 
 def test_run_manifest_fields():
-    manifest = run_manifest("fig06", 3, "vector", shards=2, pipeline=True)
+    manifest = run_manifest("fig06", 3, "vector", periods=2, max_rounds=5)
     assert manifest["type"] == "manifest"
     assert manifest["schema"] == TRACE_SCHEMA
     assert manifest["scenario"] == "fig06"
     assert manifest["seed"] == 3
     assert manifest["backend"] == "vector"
-    assert manifest["shards"] == 2 and manifest["pipeline"] is True
+    assert manifest["periods"] == 2 and manifest["max_rounds"] == 5
     assert manifest["cpu_count"] >= 1
     assert isinstance(manifest["python"], str)
     assert len(manifest["run_id"]) == 32
@@ -159,12 +159,12 @@ def test_render_summary_lists_spans_and_counters():
     registry = MetricsRegistry()
     registry.counter("campaign.rounds").inc(5)
     registry.counter("never.incremented")  # zero counters are elided
-    registry.gauge("kernel.stream.in_flight").set(2)
+    registry.gauge("service.relays").set(2)
     text = render_summary(tracer, registry)
     assert "campaign" in text and "round" in text
     assert "campaign.rounds" in text and "5" in text
     assert "never.incremented" not in text
-    assert "kernel.stream.in_flight" in text
+    assert "service.relays" in text
 
 
 def test_maybe_profile_noop_without_path():

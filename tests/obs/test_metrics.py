@@ -63,12 +63,12 @@ def test_empty_histogram_mean_is_zero():
 def test_snapshot_shape():
     registry = MetricsRegistry()
     registry.counter("kernel.shm.fallbacks").inc(2)
-    registry.gauge("kernel.stream.in_flight").set(3)
+    registry.gauge("service.relays").set(3)
     registry.histogram("round.wall_seconds").observe(0.25)
     snap = registry.snapshot()
     assert snap["counters"] == {"kernel.shm.fallbacks": 2}
     assert snap["gauges"] == {
-        "kernel.stream.in_flight": {"value": 3, "max": 3}
+        "service.relays": {"value": 3, "max": 3}
     }
     assert snap["histograms"]["round.wall_seconds"] == {
         "count": 1,

@@ -32,7 +32,6 @@ def test_null_tracer_returns_the_shared_span_singleton():
     with s1 as entered:
         assert entered is NULL_SPAN
         assert s1.set(key="value") is NULL_SPAN
-    assert NULL_TRACER.current_span_id() is None
     NULL_TRACER.finish()  # no-op, must not raise
 
 
@@ -62,36 +61,25 @@ def test_sibling_spans_share_a_parent():
     assert [s.parent_id for s in children] == [parent.span_id] * 2
 
 
-def test_explicit_parent_id_wins_over_the_stack():
+def test_span_on_a_thread_with_no_open_span_is_a_root():
+    # Parent stacks are per thread: an executor thread (the service
+    # daemon runs each period's campaign in one) starts with none open.
     tracer = Tracer()
-    with tracer.span("outer") as outer:
-        with tracer.span("inner") as inner:
-            with tracer.span("chunk", parent_id=outer.span_id) as chunk:
-                pass
-    assert chunk.parent_id == outer.span_id != inner.span_id
-
-
-def test_worker_thread_parents_explicitly():
-    # The thread backend's pattern: the dispatcher captures its current
-    # span id and worker threads (whose stacks are empty) parent to it.
-    tracer = Tracer()
-    with tracer.span("round.execute") as execute:
-        parent_id = tracer.current_span_id()
-        assert parent_id == execute.span_id
+    with tracer.span("daemon"):
 
         def work():
-            assert tracer.current_span_id() is None  # own empty stack
-            with tracer.span("kernel.chunk", parent_id=parent_id):
-                pass
+            with tracer.span("campaign"):
+                with tracer.span("round"):
+                    pass
 
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    chunks = [s for s in tracer.spans if s.name == "kernel.chunk"]
-    assert len(chunks) == 4
-    assert all(s.parent_id == execute.span_id for s in chunks)
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    by_name = {s.name: s for s in tracer.spans}
+    assert by_name["campaign"].parent_id is None
+    assert by_name["round"].parent_id == by_name["campaign"].span_id
+    assert by_name["daemon"].parent_id is None
 
 
 def test_span_ids_allocate_parent_first():

@@ -8,6 +8,8 @@ remaining period, and journaling itself must not perturb results.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api.execution import ExecutionConfig
@@ -15,6 +17,7 @@ from repro.errors import ConfigurationError
 from repro.service import BwauthDaemon, ServiceConfig, run_daemon
 from repro.service.churn import ChurnConfig
 from repro.service.journal import read_journal
+from repro.service.validate import validate_journal
 
 PERIODS = 4
 
@@ -128,3 +131,52 @@ def test_double_resume_chains(tmp_path, reference):
     }
     records = read_journal(journal_path)
     assert sum(1 for r in records if r["type"] == "resumed") == 2
+
+
+def _with_retired_execution_keys(execution: dict) -> dict:
+    """An execution dict as journals recorded it while ``pipeline`` and
+    ``shards`` were ExecutionConfig fields (both always null there)."""
+    out = {}
+    for key, value in execution.items():
+        if key == "trace":
+            out["pipeline"] = None
+            out["shards"] = None
+        out[key] = value
+    return out
+
+
+def test_journal_with_retired_execution_keys_resumes(tmp_path):
+    """A ``flashflow-service/1`` journal whose manifest and snapshots
+    carry ``"pipeline": null, "shards": null`` in the execution config
+    resumes and publishes byte-identical bandwidth files."""
+    reference_dir = tmp_path / "reference"
+    run_daemon(config(out_dir=str(reference_dir)))
+
+    out_dir = tmp_path / "resumed"
+    journal_path = tmp_path / "svc.jsonl"
+    run_daemon(config(out_dir=str(out_dir)), journal_path=journal_path,
+               until_period=2)
+    lines = []
+    for line in journal_path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record.get("config") is not None:
+            record["config"]["execution"] = _with_retired_execution_keys(
+                record["config"]["execution"]
+            )
+        lines.append(json.dumps(record))
+    journal_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert journal_path.read_text().count('"shards": null') == 3
+
+    resumed = BwauthDaemon.resume(journal_path)
+    assert resumed.next_period == 2
+    resumed.run()
+    resumed.close()
+
+    names = sorted(path.name for path in reference_dir.iterdir())
+    assert len(names) == PERIODS
+    assert sorted(path.name for path in out_dir.iterdir()) == names
+    for name in names:
+        assert (out_dir / name).read_bytes() == \
+            (reference_dir / name).read_bytes(), name
+    summary = validate_journal(journal_path)
+    assert summary["complete"] is True and summary["resumes"] == 1

@@ -1,17 +1,9 @@
-"""The shared worker-count heuristic and its environment override."""
-
-import os
+"""The ``FLASHFLOW_WORKERS`` worker-count override."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workers import (
-    MAX_DEFAULT_WORKERS,
-    WORKERS_ENV,
-    default_worker_count,
-    resolve_worker_count,
-    workers_from_env,
-)
+from repro.workers import WORKERS_ENV, workers_from_env
 
 
 @pytest.fixture
@@ -25,19 +17,11 @@ def workers_env(monkeypatch):
     return set_env
 
 
-def test_default_matches_historical_heuristic(workers_env):
-    workers_env(None)
-    assert default_worker_count() == min(
-        MAX_DEFAULT_WORKERS, (os.cpu_count() or 1) + 4
-    )
-
-
 def test_env_override(workers_env):
     workers_env("3")
     assert workers_from_env() == 3
-    assert default_worker_count() == 3
     workers_env("  12  ")
-    assert default_worker_count() == 12
+    assert workers_from_env() == 12
 
 
 def test_unset_or_empty_env_is_no_override(workers_env):
@@ -64,37 +48,51 @@ def test_non_positive_env_raises(workers_env, bad):
         workers_from_env()
 
 
-def test_resolve_prefers_explicit_argument(workers_env):
-    workers_env("5")
-    assert resolve_worker_count(2) == 2
-    assert resolve_worker_count(None) == 5
-
-
-def test_engine_run_many_respects_env_override(workers_env):
-    """The deduplicated heuristic is what run_many actually consults."""
+def _network_specs():
     from repro import quick_team
     from repro.core.allocation import allocate_capacity
-    from repro.core.engine import MeasurementEngine, MeasurementSpec
+    from repro.core.engine import MeasurementSpec
     from repro.tornet.network import synthesize_network
     from repro.units import mbit
 
+    net = synthesize_network(n_relays=4, seed=61)
+    authority = quick_team(seed=62)
+    return [
+        MeasurementSpec(
+            target=net[fp],
+            assignments=allocate_capacity(authority.team, mbit(400)),
+            params=authority.params,
+            seed=90 + i,
+            enforce_admission=False,
+        )
+        for i, fp in enumerate(net.relays)
+    ]
+
+
+def test_engine_run_many_respects_env_override(workers_env):
+    """The override sizes the pool; the outcomes never depend on it."""
+    from repro.core.engine import MeasurementEngine
+
     def outcomes(env_value):
         workers_env(env_value)
-        net = synthesize_network(n_relays=4, seed=61)
-        authority = quick_team(seed=62)
-        specs = [
-            MeasurementSpec(
-                target=net[fp],
-                assignments=allocate_capacity(authority.team, mbit(400)),
-                params=authority.params,
-                seed=90 + i,
-                enforce_admission=False,
-            )
-            for i, fp in enumerate(net.relays)
-        ]
         engine = MeasurementEngine()
         return [
-            (o.estimate, o.failed) for o in engine.run_many(specs, backend="thread")
+            (o.estimate, o.failed)
+            for o in engine.run_many(_network_specs(), backend="process")
         ]
 
     assert outcomes("1") == outcomes("4") == outcomes(None)
+
+
+@pytest.mark.parametrize("backend", ["serial", "process", "vector"])
+def test_engine_run_many_validates_env_on_every_backend(workers_env, backend):
+    from repro.core.engine import MeasurementEngine
+
+    workers_env("zero")
+    with pytest.raises(ConfigurationError, match=WORKERS_ENV):
+        MeasurementEngine().run_many(_network_specs(), backend=backend)
+    # An explicit worker count never consults the environment.
+    outcomes = MeasurementEngine().run_many(
+        _network_specs(), backend=backend, max_workers=1
+    )
+    assert len(outcomes) == 4

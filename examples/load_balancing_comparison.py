@@ -14,7 +14,7 @@ Run:  python examples/load_balancing_comparison.py
 
 import statistics
 
-from repro.api import ExecutionConfig, compare_load_balancing
+from repro.api import compare_load_balancing
 from repro.shadow.config import ShadowConfig
 
 SIZES = {"50 KiB": 50 * 1024, "1 MiB": 1024 * 1024, "5 MiB": 5 * 1024 * 1024}
@@ -32,10 +32,7 @@ def main() -> None:
     print(f"Scaled network: {config.n_relays} relays, "
           f"{config.n_markov_clients} background clients, "
           f"{config.n_benchmark_clients} benchmark clients")
-    result = compare_load_balancing(
-        config, loads=(1.0, 1.3), seed=5,
-        execution=ExecutionConfig(backend="vector", shadow_backend="vector"),
-    )
+    result = compare_load_balancing(config, loads=(1.0, 1.3), seed=5)
 
     print("\n-- Figure 8 analogue: weight accuracy --")
     print(f"  network weight error: "

@@ -47,7 +47,7 @@ def main() -> None:
         },
         seed=42,
     )
-    execution = ExecutionConfig(backend="vector")  # bit-identical on any backend
+    execution = ExecutionConfig()  # full per-second simulation, 8 attempts max
 
     # --- Run it, streaming per-round progress ----------------------------
     report = Campaign(scenario, execution).run(

@@ -1,7 +1,7 @@
 """Determinism & layering lint: the repo's bit-identity invariants, enforced.
 
-The whole architecture (PRs 2--9) rests on *bit-identity* across five
-kernel backends under fixed seeds, and on a handful of rules that
+The whole architecture rests on *bit-identity* between the kernels and
+their stateful references under fixed seeds, and on a handful of rules that
 guarantee it: no SIMD transcendentals in kernel paths, no wall-clock or
 ambient randomness in deterministic code, spans read clocks never RNGs,
 silent degradations must be counted and warned. Until this package,

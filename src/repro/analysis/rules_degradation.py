@@ -4,17 +4,19 @@
 ``raise`` anywhere in its body) must leave evidence: increment a metrics
 counter (``.inc(...)`` / ``.observe(...)`` on a registry instrument) or
 fire a one-shot ``warn_once``. A degradation that changes the execution
-strategy -- shm transport falling back to pickling, a worker pool
-rebuilding after a crash -- is bit-identical by design, but *silently*
-taking the slow path is how perf regressions and environment breakage
-hide for months.
+strategy -- a joining relay the schedule cannot slot, a spec leaving the
+kernel for the stateful path -- keeps results correct by design, but
+*silently* taking the slow path is how perf regressions and environment
+breakage hide for months.
 
-**Provenance.** PR 7 established the contract for exactly those two
-cases: ``kernel.shm.fallbacks`` and ``kernel.pool.rebuilds`` each count
-the event *and* fire a ``DegradationWarning`` via ``warn_once``. This
-rule generalizes it to every handler that swallows. CLI ``__main__``
-modules are exempt: converting an exception into an error message and a
-nonzero exit *is* the evidence there.
+**Provenance.** The contract was written for the since-removed process
+backend's two fallbacks (shared memory falling back to pickling, a
+worker pool rebuilt after a crash): each counted the event *and* fired a
+``DegradationWarning`` via ``warn_once``. This rule generalizes it to
+every handler that swallows; ``service/churn.py``'s unslottable joiner
+(counted in ``counts["unslotted"]``) is a live example. CLI
+``__main__`` modules are exempt: converting an exception into an error
+message and a nonzero exit *is* the evidence there.
 """
 
 from __future__ import annotations
@@ -64,6 +66,5 @@ def check_silent_degradation(ctx: LintContext) -> Iterator[Finding]:
                     handler, "FF006",
                     f"`except {caught}` falls back silently: no re-raise, "
                     "no metrics counter, no warn_once -- degradations must "
-                    "leave evidence (the PR 7 shm-fallback/pool-rebuild "
-                    "contract)",
+                    "leave evidence",
                 )

@@ -6,8 +6,8 @@
 ``repro.service``, or the obs *exporter* surface (``obs.export`` /
 ``obs.validate`` / ``obs.profiling``) at module scope: an upward
 module-scope edge makes import order load-bearing, reintroduces the
-circular-import class PR 3 untangled, and couples kernel workers
-(pickled into subprocesses) to the full front-door stack. Counters and
+circular-import class the API shims had to untangle, and couples the
+kernel to the full front-door stack. Counters and
 spans (``obs.metrics``/``obs.trace``) are explicitly allowed -- that is
 the PR 7 reporting substrate. Function-scope (lazy) imports are the
 sanctioned escape hatch for legacy shims.

@@ -3,7 +3,7 @@
 Usage::
 
     PYTHONPATH=src python -m repro.api --list
-    PYTHONPATH=src python -m repro.api fig06-accuracy --backend serial
+    PYTHONPATH=src python -m repro.api fig06-accuracy --quiet
     PYTHONPATH=src python -m repro.api whole-network-efficiency -o n_relays=50
 
 Runs the named scenario through :class:`repro.api.Campaign` with a
@@ -18,10 +18,10 @@ import ast
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 
 from repro.api import (
     Campaign,
-    ExecutionConfig,
     ProgressObserver,
     default_execution_for,
     get_scenario,
@@ -56,15 +56,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("scenario", nargs="?", help="registered scenario name")
     parser.add_argument("--list", action="store_true",
                         help="list registered scenarios and exit")
-    parser.add_argument("--backend", default=None,
-                        help="kernel backend (serial/process/vector)")
-    parser.add_argument("--shadow-backend", default=None,
-                        help="shadow flow-simulator backend (stateful/vector) "
-                             "carried in the execution config; only "
-                             "flow-simulating pipelines (e.g. "
-                             "compare_load_balancing) consult it -- the "
-                             "measurement-only registry scenarios ignore it")
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="write a flashflow-trace/1 JSONL trace of "
                              "the run (manifest, campaign/round/kernel "
@@ -88,16 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:28s} {entry.description}")
         return 0 if args.list else 2
 
-    base = default_execution_for(args.scenario)
-    execution = ExecutionConfig(
-        backend=args.backend,
-        shadow_backend=args.shadow_backend,
-        max_workers=args.workers,
-        full_simulation=base.full_simulation,
-        max_rounds=base.max_rounds,
-        analytic_error_std=base.analytic_error_std,
-        trace=args.trace,
-    )
+    execution = replace(default_execution_for(args.scenario), trace=args.trace)
     observers = () if args.quiet else (ProgressObserver(stream=sys.stderr),)
     campaign = Campaign(
         get_scenario(args.scenario, **dict(args.override)), execution

@@ -2,10 +2,10 @@
 
 This module owns the canonical FlashFlow campaign loop (formerly the
 body of :func:`repro.core.netmeasure.measure_network`, which is now a
-thin deprecation shim over it). Each campaign *round* packs every
-waiting relay into consecutive t-second slots, first fit in queue order
+thin shim over it). Each campaign *round* packs every waiting relay
+into consecutive t-second slots, first fit in queue order
 (:func:`repro.core.schedule.first_fit_slots`); the round's measurements
-execute concurrently through :class:`repro.core.engine.\
+execute as one batch through :class:`repro.core.engine.\
 MeasurementEngine.run_many`, which lowers them onto the vectorized kernel
 (:mod:`repro.kernel`), while ``full_simulation=False`` rounds run
 whole-round analytic estimates through :mod:`repro.kernel.analytic`;
@@ -14,8 +14,7 @@ re-enter the next round with a doubled estimate. Retries are
 round-granular (see the shim's docstring for the history): round N+1's
 jobs are exactly round N's retries, and compiling a retry reads the
 relay's jitter stream and token-bucket snapshot *after* round N's walk
-settles back onto it. The whole campaign is deterministic, and
-estimates are bit-identical on every backend and worker count.
+settles back onto it. The whole campaign is deterministic.
 
 :class:`Campaign` adds streaming on top: :meth:`Campaign.iter_rounds`
 yields :mod:`repro.api.events` as rounds plan and complete, and
@@ -159,8 +158,8 @@ def run_period_rounds(
         ) as round_span:
             # --- Pack the whole waiting queue into consecutive slots --
             # Every queued relay is independent of the others' outcomes,
-            # so a round's slots can all be planned up front and run
-            # concurrently.
+            # so a round's slots can all be planned up front and run as
+            # one batch.
             with tracer.span("round.pack"):
                 first_slot = slot_index
                 required = [required_for(z0) for _, z0, _ in queue]
@@ -230,23 +229,16 @@ def run_period_rounds(
                     )
                     for job in jobs
                 ]
-                outcomes = engine.run_many(
-                    specs,
-                    max_workers=execution.max_workers,
-                    backend=execution.backend,
-                )
+                outcomes = engine.run_many(specs)
                 results = [
                     (o.estimate, o.failed, o.failure_reason, o.cells_checked)
                     for o in outcomes
                 ]
             else:
                 # The analytic kernel walks the whole round as one array
-                # op (estimates + accept decisions); ``serial`` keeps the
-                # historical scalar analytic_estimate loop and leaves the
-                # decisions to the fold below. Bit-identical either way.
-                analytic = run_analytic_round(
-                    engine, jobs, params, backend=execution.backend
-                )
+                # op (estimates + accept decisions), bit-identical to the
+                # scalar analytic_estimate loop and the fold below.
+                analytic = run_analytic_round(engine, jobs, params)
                 results = [(z, False, None, 0) for z in analytic.estimates]
                 accepted = analytic.accepted
 
@@ -392,8 +384,6 @@ class Campaign:
         manifest = run_manifest(
             scenario_name=scenario.name,
             seed=scenario.seed,
-            backend=execution.backend,
-            shadow_backend=execution.shadow_backend,
             full_simulation=execution.full_simulation,
             periods=scenario.periods,
             max_rounds=execution.max_rounds,
@@ -413,7 +403,6 @@ class Campaign:
         campaign_span = tracer.span(
             "campaign",
             scenario=scenario.name,
-            backend=execution.backend,
             periods=scenario.periods,
             full_simulation=execution.full_simulation,
         )
@@ -443,7 +432,6 @@ class Campaign:
             n_measurers=len(authority.team),
             team_capacity=authority.team_capacity(),
             periods=scenario.periods,
-            backend=execution.backend,
         )
 
         rounds: list[RoundRecord] = []

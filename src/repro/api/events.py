@@ -38,7 +38,6 @@ class CampaignStarted(CampaignEvent):
     n_measurers: int
     team_capacity: float
     periods: int
-    backend: str | None
 
 
 @dataclass
@@ -128,8 +127,7 @@ class ProgressObserver(CampaignObserver):
             f"[{event.scenario_name}] {event.n_relays} relays, "
             f"{event.n_measurers} measurers "
             f"({event.team_capacity / 1e9:.1f} Gbit/s), "
-            f"{event.periods} period(s), "
-            f"backend={event.backend or 'auto'}"
+            f"{event.periods} period(s)"
         )
 
     def on_period_started(self, event: PeriodStarted) -> None:

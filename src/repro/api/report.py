@@ -4,7 +4,7 @@
 :meth:`repro.api.campaign.Campaign.run` -- a strict superset of the
 legacy :class:`repro.core.netmeasure.CampaignResult` (which it embeds
 as ``result``, so every old consumer keeps working through the
-deprecation shims). On top it records the per-round measurement
+compatibility shims). On top it records the per-round measurement
 timeline, error-versus-truth when the scenario knows ground truth
 (generated networks always do), echo-cell verification statistics, and
 the per-period deployment records of multi-period scenarios.

@@ -30,7 +30,7 @@ from repro.core.bwauth import FlashFlowAuthority
 from repro.core.engine import MeasurementNoise
 from repro.core.netmeasure import normalize_background_demand
 from repro.core.params import FlashFlowParams
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, _is_finite_number, _is_int
 from repro.rng import fork, seed_from
 from repro.tornet.network import TorNetwork, synthesize_network
 from repro.tornet.relay import RelayBehavior
@@ -61,8 +61,30 @@ synthesize_network`'s July-2019 calibration defaults.
     columnar: bool = True
 
     def __post_init__(self) -> None:
+        if not _is_int(self.n_relays):
+            raise ConfigurationError(
+                f"n_relays must be an integer, got {self.n_relays!r}"
+            )
         if self.n_relays < 1:
             raise ConfigurationError("a network needs at least one relay")
+        if self.seed is not None and not _is_int(self.seed):
+            raise ConfigurationError(
+                f"seed must be an integer or None, got {self.seed!r}"
+            )
+        # A NaN median, sigma or cap gives every relay a NaN capacity,
+        # and every measurement of it then fails without an error.
+        for name in ("median", "sigma", "max_capacity"):
+            value = getattr(self, name)
+            if value is not None and not _is_finite_number(value):
+                raise ConfigurationError(
+                    f"{name} must be a finite number or None, got {value!r}"
+                )
+        for name in ("median", "max_capacity"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigurationError(f"{name} must be > 0, got {value!r}")
+        if self.sigma is not None and self.sigma < 0:
+            raise ConfigurationError(f"sigma must be >= 0, got {self.sigma!r}")
 
     def build(self, default_seed: int) -> TorNetwork:
         kwargs = {

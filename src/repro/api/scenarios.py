@@ -343,9 +343,7 @@ def _continuous_deployment(
     description=(
         "The §7 Shadow measurement phase in isolation: congested-"
         "topology noise, per-relay background client traffic, cold "
-        "priors -- the workload behind flashflow_weights_for. The "
-        "surrounding flow simulations (TorFlow warmups, Figure 9 "
-        "performance runs) honour ExecutionConfig.shadow_backend."
+        "priors -- the workload behind flashflow_weights_for."
     ),
 )
 def _shadow_measurement(

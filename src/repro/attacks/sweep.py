@@ -10,9 +10,8 @@ directly -- :func:`repro.attacks.analysis.torflow_self_report_attack`
 -- so the identical attack that FlashFlow caps at ~1.33x inflates
 TorFlow by the full claimed factor).
 
-The sweep is what the ``attacks-smoke`` CI job and
-``scripts/bench.py --attacks`` drive; tests assert ``within_bound``
-holds at every grid point.
+The sweep is what the ``attacks-smoke`` CI job drives; tests assert
+``within_bound`` holds at every grid point.
 """
 
 from __future__ import annotations

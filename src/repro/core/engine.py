@@ -1,4 +1,4 @@
-"""The batched, parallel measurement engine (paper §4.1, §4.3, §7).
+"""The batched measurement engine (paper §4.1, §4.3, §7).
 
 This module is the execution core behind every simulated FlashFlow
 measurement. The original hot path re-derived per-socket TCP caps and
@@ -17,16 +17,14 @@ splits a measurement into
 
 Both phases consume the measurement's forked RNG stream
 (:func:`repro.rng.fork`) in exactly the order the historical serial loop
-did, so estimates are bit-identical to pre-engine results, and
-:meth:`MeasurementEngine.run_many` can execute independent measurements
-concurrently with any worker count while producing the same bits as
-serial execution. Batches of independent specs are lowered by
-:mod:`repro.kernel` into picklable compiled measurements whose honest-
-relay per-second walk runs as numpy array arithmetic on a pluggable
-backend (``serial``/``process``/``vector``); the stateful
+did, so estimates are bit-identical to pre-engine results.
+:meth:`MeasurementEngine.run_many` lowers batches of independent specs
+through :mod:`repro.kernel` into compiled measurements whose per-second
+walk runs as one numpy array walk for the whole batch; the stateful
 per-second path below (:meth:`MeasurementEngine.execute`) remains the
-reference semantics and the fallback for adversarial relay behaviours
-and transcript sessions.
+reference semantics the kernel is tested against, and the fallback for
+uncompilable relay behaviours (cross-relay collusion), transcript
+sessions, and batches that share a target relay.
 
 The engine also hosts the **analytic fast path**
 (:meth:`MeasurementEngine.analytic_estimate`) used by campaign code that
@@ -56,7 +54,6 @@ from repro.rng import fork
 from repro.tornet.relay import Relay
 from repro.tornet.relaycrypto import CircuitKey, establish_circuit_key
 from repro.units import bits_to_bytes
-from repro.workers import workers_from_env
 
 #: Median Internet RTT used when no explicit topology is given
 #: (the tmodel dataset median the paper cites in Appendix D).
@@ -160,9 +157,9 @@ def assignment_caps(
     min(a_i, TCP ramp cap * sockets * quality, link) * socket efficiency
     -- everything about the assignment that does not change with the
     per-second noise draw. Pure (no RNG, no shared state): the kernel
-    backends recompute it from picklable inputs in worker processes, and
-    :meth:`MeasurementEngine.prepare` uses the same code in-process, so
-    both paths produce bit-identical caps.
+    recomputes it from compiled inputs, and
+    :meth:`MeasurementEngine.prepare` uses the same code, so both paths
+    produce bit-identical caps.
     """
     ramp = tcp_ramp_profile(path, sender_kernel, target_kernel, duration)
     return [
@@ -197,7 +194,7 @@ class MeasurementSpec:
 
     A spec is a pure description: building one draws no randomness and
     touches no shared state, so lists of specs can be handed to
-    :meth:`MeasurementEngine.run_many` for concurrent execution. Fields
+    :meth:`MeasurementEngine.run_many` for batched execution. Fields
     left ``None`` fall back to the engine's defaults.
     """
 
@@ -239,8 +236,8 @@ class _PlanInputs:
     Everything that must be resolved *in order* on the measurement's
     forked RNG stream (environment factor, per-assignment path
     qualities) plus the admission decision -- and nothing that is pure
-    computation. The kernel compiler consumes these directly so the
-    heavy pure half (TCP ramp profiles) can run in worker processes.
+    computation. The kernel compiler consumes these directly and defers
+    the heavy pure half (TCP ramp profiles) to the walk.
     """
 
     spec: MeasurementSpec
@@ -294,7 +291,7 @@ class _Plan:
 
 
 class MeasurementEngine:
-    """Prepares and executes measurement slots, serially or in parallel.
+    """Prepares and executes measurement slots, one at a time or in batches.
 
     One engine instance is safe to share across threads: per-measurement
     state lives in the plan, and the only shared mutable is the lazily
@@ -308,14 +305,12 @@ class MeasurementEngine:
         network: NetworkModel | None = None,
         noise: MeasurementNoise | None = None,
         default_rtt: float = DEFAULT_RTT_SECONDS,
-        max_workers: int | None = None,
         reuse_circuit_keys: bool = True,
     ):
         self.params = params
         self.network = network
         self.noise = noise
         self.default_rtt = default_rtt
-        self.max_workers = max_workers
         self.reuse_circuit_keys = reuse_circuit_keys
         self._shared_key: CircuitKey | None = None
         self._key_lock = threading.Lock()
@@ -351,7 +346,7 @@ class MeasurementEngine:
         loop's setup phase: environment factor first, then one path
         quality per participating assignment. No pure computation (TCP
         ramps) happens here -- that is :meth:`finish_plan` (in-process)
-        or a kernel backend (possibly in a worker process).
+        or the kernel's compile step.
         """
         params = spec.params or self.params or FlashFlowParams()
         noise = spec.noise or self.noise or MeasurementNoise()
@@ -613,41 +608,26 @@ class MeasurementEngine:
         return self.execute(self.prepare(spec))
 
     def run_many(
-        self,
-        specs: Sequence[MeasurementSpec],
-        max_workers: int | None = None,
-        backend: str | None = None,
+        self, specs: Sequence[MeasurementSpec]
     ) -> list[MeasurementOutcome]:
         """Run independent measurements through the kernel.
 
         Every spec's randomness comes from its own forked stream (seed +
         per-measurement label) and every stateful object (target relay,
-        verifier) is per-spec, so any backend and worker count --
-        including 1 -- produces bit-identical outcomes in spec order.
+        verifier) is per-spec, so outcomes are bit-identical to running
+        each spec through :meth:`run` in spec order.
 
-        Specs are lowered to picklable :class:`repro.kernel.compile.\
-CompiledMeasurement` objects and executed by a kernel backend
-        (``serial``/``process``/``vector``; see
-        :mod:`repro.kernel.backends`). ``backend`` overrides the
-        ``FlashFlowParams.kernel_backend`` / ``FLASHFLOW_KERNEL_BACKEND``
-        selection. Specs the kernel cannot compile (adversarial relay
-        behaviours, transcript sessions) run on the stateful
-        :meth:`run` path, still in deterministic spec order.
+        Specs are lowered to :class:`repro.kernel.compile.\
+CompiledMeasurement` objects and executed as one vectorized array walk
+        (:func:`repro.kernel.run_specs`). Specs the kernel cannot compile
+        (uncompilable relay behaviours, transcript sessions) run on the
+        stateful :meth:`run` path, still in deterministic spec order.
 
-        Specs sharing a target relay fall back to serial stateful
-        execution entirely: the relay's token bucket and RNG are stateful
-        and draw in slot order.
-
-        ``max_workers`` falls back to the engine's own cap, then the
-        validated ``FLASHFLOW_WORKERS`` override (a malformed value
-        raises here, whatever the backend); ``None`` leaves the pool
-        size to the backend.
+        Single-spec batches and batches whose specs share a target
+        relay run entirely on the stateful path: the relay's token
+        bucket and RNG are stateful and draw in slot order.
         """
         specs = list(specs)
-        if max_workers is None:
-            max_workers = self.max_workers
-        if max_workers is None:
-            max_workers = workers_from_env()
         distinct_targets = len({id(s.target) for s in specs})
         if len(specs) <= 1 or distinct_targets < len(specs):
             from repro.obs.metrics import get_registry
@@ -662,7 +642,7 @@ CompiledMeasurement` objects and executed by a kernel backend
                 return [self.run(spec) for spec in specs]
         from repro.kernel import run_specs
 
-        return run_specs(self, specs, backend=backend, max_workers=max_workers)
+        return run_specs(self, specs)
 
     # ------------------------------------------------------------------
     # Analytic fast path (subsumes the old full_simulation=False branch)

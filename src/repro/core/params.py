@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, _is_finite_number, _is_int
 from repro.units import DAY, mbit
 
 
@@ -47,16 +47,27 @@ class FlashFlowParams:
     #: measured capacity over the past month (§4.2); the paper's July 2019
     #: value was 51 Mbit/s.
     new_relay_seed: float = mbit(51)
-    #: Execution backend for batched measurement runs
-    #: (:mod:`repro.kernel.backends`): ``"serial"``, ``"process"``,
-    #: ``"vector"``, or ``"auto"``; any other name fails with
-    #: ``ConfigurationError`` when a run resolves it. ``None`` defers to
-    #: the ``FLASHFLOW_KERNEL_BACKEND`` environment variable, then
-    #: ``auto`` (the vectorized in-process walk). Every backend produces
-    #: bit-identical estimates; this only selects how the work is run.
-    kernel_backend: str | None = None
 
     def __post_init__(self) -> None:
+        # Types first, naming the field: a bool or fractional count, or a
+        # NaN/inf float, passes the range checks below (NaN compares
+        # false both ways) and fails deep in the kernel or skews every
+        # estimate instead.
+        for name in ("n_sockets", "slot_seconds", "period_seconds"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+        for name in (
+            "multiplier", "epsilon1", "epsilon2", "ratio", "p_check",
+            "new_relay_seed",
+        ):
+            value = getattr(self, name)
+            if not _is_finite_number(value):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
         if self.n_sockets <= 0:
             raise ConfigurationError("need at least one measurement socket")
         if self.multiplier < 1.0:
@@ -73,11 +84,9 @@ class FlashFlowParams:
             raise ConfigurationError("p_check must be a probability")
         if self.period_seconds < self.slot_seconds:
             raise ConfigurationError("period must hold at least one slot")
-        if self.kernel_backend is not None and (
-            not isinstance(self.kernel_backend, str) or not self.kernel_backend
-        ):
+        if self.new_relay_seed <= 0:
             raise ConfigurationError(
-                "kernel_backend must be a backend name or None"
+                f"new_relay_seed must be > 0 bit/s, got {self.new_relay_seed!r}"
             )
 
     @property

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this package."""
@@ -37,3 +39,22 @@ class ScheduleError(ReproError):
 
 class ProtocolError(ReproError):
     """A peer violated the measurement protocol state machine."""
+
+
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool`` (``True`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A finite ``int`` or ``float`` that is not a ``bool``.
+
+    NaN compares false both ways, so a NaN that slips past a range check
+    like ``x < 1`` flows on into every estimate; infinities turn
+    products into NaN further down. Config classes check this first.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )

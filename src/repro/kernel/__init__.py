@@ -1,4 +1,4 @@
-"""The vectorized measurement kernel (compile -> supply -> backends).
+"""The vectorized measurement kernel (compile -> supply).
 
 This package is the execution layer beneath
 :meth:`repro.core.engine.MeasurementEngine.run_many`:
@@ -10,8 +10,8 @@ This package is the execution layer beneath
 - :mod:`repro.kernel.supply` executes compiled measurements as
   vectorized numpy array walks, bit-identical to the stateful
   :meth:`Relay.measured_second` path;
-- :mod:`repro.kernel.backends` schedules the walks on a pluggable
-  backend (``serial``/``process``/``vector``).
+- :mod:`repro.kernel.backends` holds :class:`VectorBackend`, the one
+  executor :func:`run_specs` hands each round's compiled batch to.
 
 Relay behaviours compile through
 :meth:`repro.tornet.relay.RelayBehavior.kernel_program`: the honest
@@ -24,7 +24,7 @@ exact semantics for every spec.
 
 :mod:`repro.kernel.analytic` lowers whole rounds of the engine's
 closed-form ``analytic_estimate`` (the ``full_simulation=False``
-campaign path) into one array walk on every backend except ``serial``.
+campaign path) into one array walk.
 """
 
 from __future__ import annotations
@@ -38,14 +38,7 @@ from repro.kernel.analytic import (
     execute_analytic_round,
     run_analytic_round,
 )
-from repro.kernel.backends import (
-    BACKEND_ENV_VAR,
-    KernelBackend,
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve_backend_name,
-)
+from repro.kernel.backends import KernelBackend, VectorBackend
 from repro.kernel.compile import (
     CompiledAssignment,
     CompiledMeasurement,
@@ -57,23 +50,18 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "AnalyticRoundResult",
     "CompiledAnalyticRound",
     "CompiledAssignment",
     "CompiledMeasurement",
     "KernelBackend",
     "KernelResult",
-    "backend_names",
     "compile_analytic_round",
     "compile_measurement",
     "execute_analytic_round",
     "execute_batch",
     "execute_compiled",
-    "get_backend",
     "is_compilable",
-    "register_backend",
-    "resolve_backend_name",
     "run_analytic_round",
     "run_specs",
 ]
@@ -120,33 +108,16 @@ def _predraw_noise(engine, specs) -> dict:
     return rows
 
 
-def run_specs(
-    engine,
-    specs: Sequence,
-    backend: str | None = None,
-    max_workers: int | None = None,
-):
+def run_specs(engine, specs: Sequence):
     """Run independent measurement specs through the kernel.
 
     Compiles every compilable spec (in spec order -- compilation consumes
     relay RNG/admission state exactly where the stateful path would),
-    executes the compiled batch on the selected backend, runs the
+    executes the compiled batch as one vectorized array walk, runs the
     fallback specs on the engine's stateful path, settles relay state
     deltas, and returns outcomes in spec order.
-
-    The backend is a batch-level choice: the explicit ``backend``
-    argument, else the *first* spec's params (``kernel_backend`` on
-    later specs in a mixed batch is not consulted), else the engine's
-    params, the environment, and finally ``auto``. Results are
-    bit-identical for every backend, so this only selects scheduling.
     """
     specs = list(specs)
-    first_params = (specs[0].params or engine.params) if specs else None
-    name = resolve_backend_name(
-        backend,
-        first_params.kernel_backend if first_params is not None else None,
-    )
-    backend_obj = get_backend(name)
     tracer = get_tracer()
     registry = get_registry()
 
@@ -160,7 +131,7 @@ def run_specs(
     predrawn = _predraw_noise(engine, specs) if specs else {}
 
     compiled: list[CompiledMeasurement] = []
-    with tracer.span("round.compile", backend=name, n_specs=len(specs)):
+    with tracer.span("round.compile", n_specs=len(specs)):
         for index, spec in enumerate(specs):
             cm = compile_measurement(
                 engine, spec, index=index, predrawn_noise=predrawn.get(index)
@@ -173,12 +144,8 @@ def run_specs(
         with tracer.span("round.fallback", n_specs=len(fallback_indices)):
             for index in fallback_indices:
                 results[index] = engine.run(specs[index])
-    with tracer.span("round.execute", backend=name, n_compiled=len(compiled)):
-        kernel_results = (
-            backend_obj.run(compiled, max_workers=max_workers)
-            if compiled
-            else []
-        )
+    with tracer.span("round.execute", n_compiled=len(compiled)):
+        kernel_results = VectorBackend().run(compiled) if compiled else []
 
     registry.counter("kernel.specs.compiled").inc(
         len(specs) - len(fallback_indices)
@@ -201,8 +168,8 @@ def run_specs(
                     float(result.measurement[-1]) / 8.0, spec.target
                 )
             if result.behavior_rng_state is not None:
-                # Forgers: the verification replay consumed the
-                # behaviour's RNG in a worker; write the advanced state
+                # Forgers: the verification replay consumed a copy of
+                # the behaviour's RNG; write the advanced state
                 # (and any detected forgeries) back onto the live object.
                 spec.target.behavior.settle_verify_replay(
                     result.behavior_rng_state, result.cells_forged

@@ -30,13 +30,9 @@ non-NaN inputs), so estimates, thresholds, and accept decisions are
 **bit-identical** to the stateful ``analytic_estimate`` loop -- the
 oracle suite in ``tests/kernel/test_analytic.py`` asserts exact ``==``.
 
-Backend selection reuses the kernel registry
-(:mod:`repro.kernel.backends`): :func:`run_analytic_round` resolves the
-usual chain (explicit argument > ``FlashFlowParams.kernel_backend`` >
-``FLASHFLOW_KERNEL_BACKEND`` > ``auto``). ``serial`` keeps the
-historical scalar loop alive for debugging granularity; every other
-backend runs the single array walk (an elementwise O(n) pass gains
-nothing from process chunking).
+The historical scalar loop -- one ``analytic_estimate`` call per job --
+stays in :class:`~repro.core.engine.MeasurementEngine` as the reference
+the oracle suite compares against.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ import numpy as np
 
 from repro.core.engine import MeasurementEngine
 from repro.core.params import FlashFlowParams
-from repro.kernel.backends import resolve_backend_name
 from repro.obs.trace import get_tracer
 
 _ALLOCATED = attrgetter("allocated")
@@ -92,21 +87,18 @@ class CompiledAnalyticRound:
 
 @dataclass
 class AnalyticRoundResult:
-    """Per-job estimates plus (on the vectorized path) fold decisions.
+    """Per-job estimates plus fold decisions.
 
-    ``thresholds``/``accepted`` are ``None`` on the ``serial`` debug
-    path; the campaign fold then recomputes the accept decision per job
-    exactly as the historical loop did. When present they are
-    bit-identical to that recomputation, so the fold may consume them
-    directly.
+    ``thresholds``/``accepted`` are bit-identical to the campaign fold's
+    scalar recomputation, so the fold consumes them directly.
     """
 
     #: Capacity estimate z per job (bit/s), in job order.
     estimates: list[float]
-    #: BWAuth acceptance threshold per job, or None (serial path).
-    thresholds: list[float] | None = None
-    #: ``z < threshold or capped`` per job, or None (serial path).
-    accepted: list[bool] | None = None
+    #: BWAuth acceptance threshold per job.
+    thresholds: list[float]
+    #: ``z < threshold or capped`` per job.
+    accepted: list[bool]
 
 
 def _true_capacities(jobs: Sequence) -> Iterator[float]:
@@ -189,27 +181,12 @@ def run_analytic_round(
     engine: MeasurementEngine,
     jobs: Sequence,
     params: FlashFlowParams | None = None,
-    backend: str | None = None,
 ) -> AnalyticRoundResult:
-    """Run one round of analytic estimates on the selected backend.
+    """Run one round of analytic estimates as one compiled array walk.
 
-    Backend resolution is the kernel's usual chain (explicit >
-    ``params.kernel_backend`` > ``FLASHFLOW_KERNEL_BACKEND`` > ``auto``),
-    validated at resolution time. ``serial`` runs the stateful
-    reference -- one :meth:`MeasurementEngine.analytic_estimate` call per
-    job, fold decisions left to the caller -- and every other backend
-    runs the compiled array walk. Both produce bit-identical campaigns.
+    Bit-identical to calling :meth:`MeasurementEngine.analytic_estimate`
+    once per job and recomputing each accept decision.
     """
     params = params or engine.params or FlashFlowParams()
-    name = resolve_backend_name(backend, params.kernel_backend)
-    with get_tracer().span("round.analytic", backend=name, n_jobs=len(jobs)):
-        if name == "serial":
-            return AnalyticRoundResult(
-                estimates=[
-                    engine.analytic_estimate(
-                        job.relay, job.assignments, params, job.wobble
-                    )
-                    for job in jobs
-                ]
-            )
+    with get_tracer().span("round.analytic", n_jobs=len(jobs)):
         return execute_analytic_round(compile_analytic_round(jobs, params))

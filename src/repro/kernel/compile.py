@@ -1,4 +1,4 @@
-"""Lowering measurements into picklable compiled form.
+"""Lowering measurements into compiled form.
 
 :func:`compile_measurement` turns a :class:`MeasurementSpec` plus the
 engine's prepared inputs (:meth:`MeasurementEngine.prepare_inputs`) into
@@ -17,13 +17,13 @@ streams:
 The engine's per-second *supply-noise* draws are the one exception: the
 measurement stream is forked per spec and nothing else ever reads it, so
 its post-prepare state ships inside the compiled measurement and the
-draws happen wherever the walk executes -- same stream, same positions,
-bit-identical values, but the drawing cost parallelises.
+draws happen when the walk executes -- same stream, same positions,
+bit-identical values.
 
 What remains -- TCP ramp profiles, the capacity/ratio walk, and echo-cell
-verification replay -- is pure computation over the compiled arrays and
-can run anywhere (another thread, another process) with bit-identical
-results. The relay's stateful side effects (token bucket level,
+verification replay -- is pure computation over the compiled arrays, so
+a whole round walks as one batch with bit-identical results. The
+relay's stateful side effects (token bucket level,
 observed-bandwidth history) are settled back onto the live relay by the
 caller from the walk's results.
 

@@ -32,8 +32,8 @@ measurement exactly as the stateful :class:`EchoVerifier` would
 
 The walk returns, besides the outcome, the relay-state deltas (final
 bucket tokens, per-second forwarded bytes) the caller settles back onto
-the live relay via :meth:`Relay.settle_measured_walk` -- this is what
-lets the walk itself run in a worker process.
+the live relay via :meth:`Relay.settle_measured_walk` -- the walk
+itself never touches a live relay.
 """
 
 from __future__ import annotations
@@ -76,9 +76,7 @@ _EMPTY = np.zeros(0)
 class KernelResult:
     """Result of one compiled measurement plus relay-state deltas.
 
-    Per-second series stay numpy arrays end to end -- array buffers
-    pickle an order of magnitude faster than lists of Python floats,
-    which matters for the ``process`` backend's result path --and are
+    Per-second series stay numpy arrays out of the walk and are
     materialised into a :class:`MeasurementOutcome` by
     :meth:`to_outcome` on the consuming side.
     """

@@ -3,25 +3,24 @@
 A zero-dependency observability subsystem with three pillars:
 
 - **tracer** (:mod:`repro.obs.trace`): hierarchical spans (``campaign >
-  period > round > compile/execute/settle``, process-pool chunk and
-  shadow-churn children) with wall/CPU time and attached attributes.
+  period > round > compile/execute/settle``, shadow-churn children)
+  with wall/CPU time and attached attributes.
   The ambient tracer defaults to the no-op :data:`NULL_TRACER`;
   ``ExecutionConfig(trace=PATH)`` (or ``python -m repro.api --trace``)
   installs a recording tracer streaming to a JSONL file.
 - **metrics** (:mod:`repro.obs.metrics`): counters / gauges /
   histograms at the choke points -- rounds retried, stateful-path
-  fallbacks, shm allocations and fallbacks, pool rebuilds -- plus
-  :func:`warn_once` so silent degradations surface exactly once per
-  process.
+  fallbacks, shadow churns -- plus :func:`warn_once` so silent
+  degradations surface exactly once per process.
 - **exporters** (:mod:`repro.obs.export`): the incremental
   ``flashflow-trace/1`` JSONL writer with a run manifest (seed,
-  scenario, backend, cpu_count, git rev) and a plain-text summary
+  scenario, cpu_count, git rev) and a plain-text summary
   renderer; :mod:`repro.obs.validate` checks emitted files (CI smoke).
   :mod:`repro.obs.profiling` adds opt-in cProfile capture.
 
 Tracing never perturbs results (spans read clocks, not RNGs; the
 bit-identity oracle suites run traced), and the disabled path is a
-no-op fast path: instrumentation sits at round/chunk granularity and
+no-op fast path: instrumentation sits at round granularity and
 the null tracer allocates nothing. This event/metrics schema is the
 substrate the continuous daemon (ROADMAP item 1) and campaign archive
 (item 4) will consume.

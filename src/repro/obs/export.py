@@ -5,10 +5,11 @@ one record per line, written incrementally so a killed run still leaves
 an analyzable prefix:
 
 - line 1 is always the **manifest** (``type: "manifest"``): schema
-  name, run id, scenario name and seed, execution knobs (backend,
-  shadow backend, full_simulation, max_rounds), ``cpu_count``, python
-  version, and the git revision when available -- everything needed to
-  interpret (or reproduce) the run;
+  name, run id, scenario name and seed, execution knobs
+  (full_simulation, max_rounds), ``cpu_count``, python version, and the
+  git revision when available -- everything needed to interpret (or
+  reproduce) the run. Validators ignore keys they do not read, so
+  manifests written before the ``backend`` key was dropped still pass;
 - **span** records (``type: "span"``) follow as spans close, children
   before their parents (a span closes before the span that opened it);
   parent ids always refer to earlier-allocated ids, so the file's span
@@ -68,7 +69,6 @@ def git_revision() -> str | None:
 def run_manifest(
     scenario_name: str | None = None,
     seed: int | None = None,
-    backend: str | None = None,
     **extra,
 ) -> dict:
     """The ``type: "manifest"`` record for one traced run.
@@ -84,7 +84,6 @@ def run_manifest(
         "generated_unix": int(time.time()),
         "scenario": scenario_name,
         "seed": seed,
-        "backend": backend,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "git_rev": git_revision(),

@@ -3,8 +3,8 @@
 Tracing answers *which stage* took the time; profiling answers *which
 function*. :func:`maybe_profile` wraps a block in ``cProfile`` when
 given a path and is a transparent no-op otherwise, so call sites
-(``python -m repro.api --profile``, ``scripts/bench.py --profile``)
-thread one optional argument instead of branching:
+(``python -m repro.api --profile``) thread one optional argument
+instead of branching:
 
     with maybe_profile(args.profile):
         report = campaign.run()

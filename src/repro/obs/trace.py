@@ -1,12 +1,11 @@
 """Hierarchical tracing spans with a zero-overhead disabled path.
 
 A :class:`Tracer` produces a tree of :class:`Span` records --
-``campaign > period > round > compile/execute/settle``, process-pool
-chunk children, shadow-kernel churn spans -- each carrying wall *and*
-CPU time plus free-form attributes (slot counts, backend name,
-transport). Instrumentation sits at round/chunk granularity,
-never inside the per-second numpy walks, so a recording tracer costs a
-handful of span objects per campaign round.
+``campaign > period > round > compile/execute/settle``, shadow-kernel
+churn spans -- each carrying wall *and* CPU time plus free-form
+attributes (slot counts, job counts). Instrumentation sits at round
+granularity, never inside the per-second numpy walks, so a recording
+tracer costs a handful of span objects per campaign round.
 
 When tracing is off the ambient tracer is the module-level
 :data:`NULL_TRACER`: ``span()`` returns the shared :data:`NULL_SPAN`
@@ -17,9 +16,7 @@ which is what lets the bit-identity oracle suites run with tracing on.
 
 Parenting: each tracer keeps a per-thread stack of open spans; a span
 opened while another is open on the same thread becomes its child, and
-a span opened on a thread with no open span is a root. Worker
-*processes* see the module-global null tracer; their chunks are traced
-from the parent side (submit-to-harvest spans).
+a span opened on a thread with no open span is a root.
 """
 
 from __future__ import annotations
@@ -235,9 +232,7 @@ class Tracer:
 # A plain module global, deliberately *not* a contextvar: the service
 # daemon runs each period's campaign in an executor thread, which must
 # see the same tracer as the thread that installed it, and executor
-# tasks run in the worker thread's own (empty) context. Process-pool
-# workers import the module fresh and see the null tracer, which is
-# exactly right -- their chunks are traced parent-side.
+# tasks run in the worker thread's own (empty) context.
 
 _current: NullTracer | Tracer = NULL_TRACER
 

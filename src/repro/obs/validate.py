@@ -21,9 +21,10 @@ import sys
 
 __all__ = ["TraceValidationError", "validate_trace"]
 
-#: Manifest keys every trace must carry.
+#: Manifest keys every trace must carry. Other keys are ignored, so a
+#: manifest written while it still recorded a ``backend`` stays valid.
 MANIFEST_REQUIRED = (
-    "schema", "run_id", "generated_unix", "scenario", "seed", "backend",
+    "schema", "run_id", "generated_unix", "scenario", "seed",
     "cpu_count", "python",
 )
 
@@ -172,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
             f"({stats['roots']} root(s), depth {stats['max_depth']}), "
             f"{stats['metrics_records']} metrics snapshot(s); "
             f"scenario={manifest.get('scenario')!r} "
-            f"seed={manifest.get('seed')} backend={manifest.get('backend')}"
+            f"seed={manifest.get('seed')}"
         )
     return 0
 

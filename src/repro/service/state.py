@@ -44,9 +44,11 @@ __all__ = ["NetworkTable", "RelayRow", "ServiceConfig", "Snapshot"]
 #: ``flashflow-trace/1``).
 SERVICE_SCHEMA = "flashflow-service/1"
 
-#: Execution knobs older journals still carry. Neither ever changed a
+#: Execution knobs older journals still carry. None ever changed a
 #: result, so a journal that records them resumes without them.
-_RETIRED_EXECUTION_KEYS = frozenset({"pipeline", "shards"})
+_RETIRED_EXECUTION_KEYS = frozenset(
+    {"pipeline", "shards", "backend", "shadow_backend", "max_workers"}
+)
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,7 @@ from repro.shadow.experiment import (
     flashflow_weights_for,
     torflow_weights_for,
 )
-from repro.shadow.flows import (
-    SHADOW_BACKEND_ENV_VAR,
-    ShadowFlowBackend,
-    get_shadow_backend,
-    register_shadow_backend,
-    resolve_shadow_backend_name,
-    shadow_backend_names,
-    waterfill,
-)
+from repro.shadow.flows import waterfill
 from repro.shadow.simulator import NetworkSimulator, SimulationMetrics
 from repro.shadow.trafficgen import MarkovLoadGenerator
 
@@ -40,18 +32,12 @@ __all__ = [
     "ExperimentResult",
     "MarkovLoadGenerator",
     "NetworkSimulator",
-    "SHADOW_BACKEND_ENV_VAR",
     "ShadowConfig",
-    "ShadowFlowBackend",
     "SimulationMetrics",
     "TransferRecord",
     "build_network",
     "compare_systems",
     "flashflow_weights_for",
-    "get_shadow_backend",
-    "register_shadow_backend",
-    "resolve_shadow_backend_name",
-    "shadow_backend_names",
     "torflow_weights_for",
     "waterfill",
 ]

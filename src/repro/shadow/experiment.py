@@ -110,14 +110,8 @@ def torflow_weights_for(
     seed: int = 0,
     feedback_rounds: int = 2,
     warmup_sim_seconds: int = 300,
-    shadow_backend: str | None = None,
 ) -> dict[str, float]:
-    """Run the TorFlow pipeline against the scaled network.
-
-    ``shadow_backend`` selects the flow-simulator backend
-    (:mod:`repro.shadow.flows`) for the warmup simulations; weights are
-    bit-identical for every choice.
-    """
+    """Run the TorFlow pipeline against the scaled network."""
     config = network.config
     capacities = network.relays.capacities()
     rng = fork(seed, "torflow-bootstrap")
@@ -145,7 +139,7 @@ def torflow_weights_for(
 
     for round_index in range(feedback_rounds):
         sim = NetworkSimulator(warm_network, seed=seed + round_index)
-        metrics = sim.run(weights, backend=shadow_backend)
+        metrics = sim.run(weights)
         # Observed bandwidth: the relay's sustained peak (p95 of per-second
         # throughput -- the short warmup stands in for the live network's
         # 5-day window, whose max-sustained-10s statistic tracks sustained
@@ -170,9 +164,6 @@ def flashflow_weights_for(
     seed: int = 0,
     params: FlashFlowParams | None = None,
     background_utilization: float = 0.35,
-    backend: str | None = None,
-    max_workers: int | None = None,
-    shadow_backend: str | None = None,
 ) -> dict[str, float]:
     """Run the FlashFlow pipeline: 3 x 1 Gbit/s team measures everything.
 
@@ -180,11 +171,9 @@ def flashflow_weights_for(
     (:class:`repro.api.Campaign`): the whole-network measurement runs
     through the authority's shared :class:`MeasurementEngine` and the
     vectorized kernel -- each campaign round is one batched array walk
-    (or a ``process`` pool via ``backend``) rather than a
-    hand-rolled per-relay loop. Estimates are bit-identical for every
-    backend/worker choice.
+    rather than a hand-rolled per-relay loop.
     """
-    from repro.api import Campaign, ExecutionConfig, Scenario
+    from repro.api import Campaign, Scenario
 
     authority = quick_team(
         n_measurers=3, capacity_each=gbit(1.0), params=params, seed=seed
@@ -207,13 +196,6 @@ def flashflow_weights_for(
             priors=None,
             background=background,
             noise=SHADOW_MEASUREMENT_NOISE,
-        ),
-        ExecutionConfig(
-            backend=backend,
-            max_workers=max_workers,
-            # Carried through Scenario -> Campaign for uniformity; the
-            # measurement phase itself never runs the flow simulator.
-            shadow_backend=shadow_backend,
         ),
     ).run()
     return dict(report.estimates)
@@ -305,30 +287,12 @@ def compare_systems(
     loads: tuple[float, ...] = (1.0, 1.15, 1.30),
     seed: int = 0,
     run_performance: bool = True,
-    measurement_backend: str | None = None,
-    measurement_workers: int | None = None,
-    shadow_backend: str | None = None,
 ) -> ExperimentResult:
-    """Full §7 pipeline: weights, error metrics, performance runs.
-
-    ``measurement_backend``/``measurement_workers`` select the kernel
-    backend for the FlashFlow measurement phase, and ``shadow_backend``
-    the flow-simulator backend (:mod:`repro.shadow.flows`) for the
-    TorFlow warmups and the Figure 9 performance runs; figures are
-    identical for every choice.
-    """
+    """Full §7 pipeline: weights, error metrics, performance runs."""
     config = config or ShadowConfig()
     network = build_network(config)
-    tf_weights = torflow_weights_for(
-        network, seed=seed, shadow_backend=shadow_backend
-    )
-    ff_estimates = flashflow_weights_for(
-        network,
-        seed=seed,
-        backend=measurement_backend,
-        max_workers=measurement_workers,
-        shadow_backend=shadow_backend,
-    )
+    tf_weights = torflow_weights_for(network, seed=seed)
+    ff_estimates = flashflow_weights_for(network, seed=seed)
     result = ExperimentResult(
         network=network,
         torflow_weights=tf_weights,
@@ -351,7 +315,7 @@ def compare_systems(
                 hop_rtt_range=network.hop_rtt_range,
             )
             sim = NetworkSimulator(run_network, seed=seed + int(load * 100))
-            metrics = sim.run(weights, backend=shadow_backend)
+            metrics = sim.run(weights)
             result.runs.append(
                 SystemRun(system=system, load=load, metrics=metrics)
             )

@@ -1,4 +1,4 @@
-"""The vectorized shadow flow kernel and its backend registry.
+"""The vectorized shadow flow kernel.
 
 :class:`repro.shadow.simulator.NetworkSimulator` historically walked
 every simulated second in Python: gather each background circuit's
@@ -21,9 +21,10 @@ same way :mod:`repro.kernel` lowered measurement rounds:
   TTFB/TTLB/timeout bookkeeping for all active benchmark transfers as
   array ops; only start/finish *events* touch Python objects.
 
-**Bit-identity.** The kernel reproduces the stateful walk's results
-exactly under fixed seeds (the oracle suite in
-``tests/shadow/test_flow_oracle.py`` asserts ``==`` on every metric).
+**Bit-identity.** The kernel reproduces the historical per-second
+Python walk's results exactly under fixed seeds (the oracle suite in
+``tests/shadow/test_flow_oracle.py`` asserts ``==`` on every metric
+against that walk, kept in ``tests/oracles/shadow_walk.py``).
 Two transcendental functions need care: numpy's SIMD ``np.exp`` /
 ``np.power`` are *not* bit-identical to CPython's ``math.exp`` /
 ``**`` on this toolchain, so the demand matrix applies ``math.exp``
@@ -32,23 +33,15 @@ per-transfer scheduling-luck factor ``luck ** severity`` is computed
 with scalar CPython pow at event granularity. Everything else --
 add/mul/div, gathers, 3-wide means, ``np.minimum``, ``np.bincount`` --
 is the same IEEE-754 operation either way.
-
-Backends mirror :mod:`repro.kernel.backends`: ``stateful`` keeps the
-historical per-second Python walk alive, ``vector`` (the ``auto``
-default) runs this kernel. Selection order: explicit ``backend=``
-argument, then the ``FLASHFLOW_SHADOW_BACKEND`` environment variable,
-then ``auto``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.tornet.circuit import CIRCUIT_WINDOW_CELLS, STREAM_WINDOW_CELLS
@@ -61,10 +54,6 @@ _EPS = 1e-6
 #: the ratio at which the unfairness is fully developed.
 OVERLOAD_ONSET = 1.10
 OVERLOAD_FULL = 1.60
-
-#: Environment variable consulted when the caller leaves the shadow
-#: backend unset (mirrors ``FLASHFLOW_KERNEL_BACKEND``).
-SHADOW_BACKEND_ENV_VAR = "FLASHFLOW_SHADOW_BACKEND"
 
 #: Window-cap numerators, grouped exactly as ``circuit_rate_cap``
 #: computes them (``(window_cells * CELL_LEN) * 8.0``), so dividing by
@@ -294,7 +283,7 @@ def run_flow_kernel(simulator, prepared):
     ``prepared`` is its :meth:`_prepare` output (generators, benchmark
     clients, metrics, pre-drawn relay noise). Returns the populated
     :class:`repro.shadow.simulator.SimulationMetrics`, bit-identical to
-    the stateful walk's.
+    the historical per-second walk's.
 
     Instrumentation sits at event granularity: one ``shadow.horizon``
     span for the whole walk plus a ``shadow.churn`` child per circuit-
@@ -490,97 +479,3 @@ def _walk_horizon(simulator, prepared, tracer):
         measured_seconds,
     )
     return metrics, churns
-
-
-# ---------------------------------------------------------------------------
-# Backend registry (mirrors repro.kernel.backends)
-# ---------------------------------------------------------------------------
-
-class ShadowFlowBackend:
-    """Base class: runs one prepared simulation, returns its metrics."""
-
-    name = "base"
-
-    def run(self, simulator, weights: dict[str, float]):
-        raise NotImplementedError
-
-
-class StatefulFlowBackend(ShadowFlowBackend):
-    """The historical per-second Python walk (debugging granularity).
-
-    ``memoize=False`` disables the congested-window memo so tests can
-    prove the memo never changes results.
-    """
-
-    name = "stateful"
-
-    def __init__(self, memoize: bool = True):
-        self.memoize = memoize
-
-    def run(self, simulator, weights):
-        return simulator._run_stateful(weights, memoize=self.memoize)
-
-
-class VectorFlowBackend(ShadowFlowBackend):
-    """The vectorized flow kernel (the ``auto`` default)."""
-
-    name = "vector"
-
-    def run(self, simulator, weights):
-        return run_flow_kernel(simulator, simulator._prepare(weights))
-
-
-_BACKENDS: dict[str, ShadowFlowBackend] = {}
-
-
-def register_shadow_backend(backend: ShadowFlowBackend) -> ShadowFlowBackend:
-    """Add a backend instance to the registry (name taken from the class)."""
-    _BACKENDS[backend.name] = backend
-    return backend
-
-
-register_shadow_backend(StatefulFlowBackend())
-register_shadow_backend(VectorFlowBackend())
-
-
-def shadow_backend_names() -> list[str]:
-    """Registered shadow backend names (for docs/CLIs/validation)."""
-    return sorted(_BACKENDS)
-
-
-def resolve_shadow_backend_name(explicit: str | None = None) -> str:
-    """Apply the selection order; ``auto`` resolves to ``vector``.
-
-    The resolved name is validated against the registry *here*, before
-    any simulation work starts: a typo'd ``FLASHFLOW_SHADOW_BACKEND``
-    (or explicit name) fails fast with a :class:`ConfigurationError`
-    naming the registered backends instead of surfacing as a raw
-    ``KeyError`` mid-simulation -- the same contract as
-    :func:`repro.kernel.backends.resolve_backend_name`.
-    """
-    env = os.environ.get(SHADOW_BACKEND_ENV_VAR)
-    if explicit:
-        name, source = explicit, "backend argument"
-    elif env:
-        name, source = env, f"the {SHADOW_BACKEND_ENV_VAR} environment variable"
-    else:
-        name, source = "auto", "default"
-    if name == "auto":
-        return VectorFlowBackend.name
-    if name not in _BACKENDS:
-        raise ConfigurationError(
-            f"unknown shadow backend {name!r} (from {source}); "
-            f"known backends: auto, {', '.join(shadow_backend_names())}"
-        )
-    return name
-
-
-def get_shadow_backend(name: str) -> ShadowFlowBackend:
-    """Look up a backend by name; raises with the known names listed."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown shadow backend {name!r}; "
-            f"known backends: {', '.join(shadow_backend_names())}"
-        ) from None

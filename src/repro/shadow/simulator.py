@@ -11,15 +11,11 @@ Each simulated second:
 4. benchmark transfers advance, recording TTFB/TTLB/timeouts;
 5. per-relay throughput and utilisation are accumulated.
 
-Execution is pluggable (:mod:`repro.shadow.flows`, mirroring the
-measurement kernel's :mod:`repro.kernel.backends`): the default
-``vector`` backend compiles each horizon onto the flow kernel's arrays
-(flow table rebuilt only at circuit churn, congested RTTs and transfer
-bookkeeping as batched array ops), while ``backend="stateful"`` keeps
-the historical per-second Python walk. Both are bit-identical under
-fixed seeds; selection order is explicit ``backend=`` argument, then
-the ``FLASHFLOW_SHADOW_BACKEND`` environment variable, then ``auto``
-(= ``vector``).
+Each horizon runs on the flow kernel (:mod:`repro.shadow.flows`): the
+flow table is rebuilt only at circuit churn, and congested RTTs and
+transfer bookkeeping are batched array ops. The historical per-second
+Python walk, which the kernel reproduces bit for bit under fixed seeds,
+is kept as a test oracle (``tests/oracles/shadow_walk.py``).
 """
 
 from __future__ import annotations
@@ -34,13 +30,10 @@ from repro.shadow.config import ShadowConfig, ShadowNetwork
 from repro.shadow.flows import (
     OVERLOAD_FULL,
     OVERLOAD_ONSET,
-    finalize_relay_stats,
-    get_shadow_backend,
-    resolve_shadow_backend_name,
+    run_flow_kernel,
     waterfill,
 )
 from repro.shadow.trafficgen import MarkovLoadGenerator
-from repro.tornet.circuit import circuit_rate_cap
 from repro.tornet.consensus import Consensus, RouterStatus
 from repro.tornet.pathsel import PathSelector
 
@@ -52,12 +45,6 @@ __all__ = [
     "OVERLOAD_ONSET",
     "OVERLOAD_FULL",
 ]
-
-#: Entries kept in the stateful walk's congested-window memo before it
-#: stops growing (the memo is exact, so capping it only costs hits;
-#: entries are one per distinct background circuit, so the cap is a
-#: safety valve, not a working-set bound).
-_WINDOW_MEMO_MAX = 1 << 18
 
 
 @dataclass
@@ -113,7 +100,7 @@ class SimulationMetrics:
 
 @dataclass
 class PreparedSimulation:
-    """One run's resolved inputs, shared by every execution backend."""
+    """One run's resolved inputs: clients, metrics and pre-drawn noise."""
 
     background: list[MarkovLoadGenerator]
     benchmarks: list[BenchmarkClient]
@@ -149,24 +136,16 @@ class NetworkSimulator:
             )
         return consensus
 
-    def run(
-        self, weights: dict[str, float], backend: str | None = None
-    ) -> SimulationMetrics:
-        """Simulate ``sim_seconds`` + warmup under ``weights``.
-
-        ``backend`` selects the flow-execution backend
-        (:mod:`repro.shadow.flows`); results are bit-identical for every
-        choice, so the knob only trades speed for granularity.
-        """
-        name = resolve_shadow_backend_name(backend)
-        return get_shadow_backend(name).run(self, weights)
+    def run(self, weights: dict[str, float]) -> SimulationMetrics:
+        """Simulate ``sim_seconds`` + warmup under ``weights``."""
+        return run_flow_kernel(self, self._prepare(weights))
 
     def _prepare(self, weights: dict[str, float]) -> PreparedSimulation:
         """Resolve one run's clients and noise (RNG order is canonical).
 
-        Every backend starts from this exact draw sequence: path
-        selector, the numpy noise fork, background generators, then
-        benchmark clients -- so backend choice can never shift a seed.
+        The flow kernel and the reference walk both start from this
+        exact draw sequence: path selector, the numpy noise fork,
+        background generators, then benchmark clients.
         """
         config = self.config
         selector = PathSelector(self._consensus(weights), seed=self.seed)
@@ -228,169 +207,3 @@ class NetworkSimulator:
             relay_noise=relay_noise,
             horizon=horizon,
         )
-
-    def _run_stateful(
-        self, weights: dict[str, float], memoize: bool = True
-    ) -> SimulationMetrics:
-        """The historical per-second Python walk (``backend="stateful"``).
-
-        ``memoize`` enables the congested-window memo for background
-        circuits: the window cap is a pure function of (path ids, base
-        RTT, previous-second queue factor), so a second in which a
-        circuit's RTT and load ratio are unchanged reuses the cached
-        cap instead of recomputing it. The memo holds one entry per
-        circuit -- keyed (ids, rtt), storing the last (queue factor,
-        window) pair -- and the comparison is exact, no bucketing
-        approximation, so results are identical either way
-        (``tests/shadow/test_flow_oracle.py`` asserts it).
-        """
-        config = self.config
-        prepared = self._prepare(weights)
-        background = prepared.background
-        benchmarks = prepared.benchmarks
-        metrics = prepared.metrics
-        relay_noise = prepared.relay_noise
-        horizon = prepared.horizon
-
-        n_relays = len(self._fingerprints)
-        util_acc = np.zeros(n_relays)
-        peak = np.zeros(n_relays)
-        load_history: list[np.ndarray] = []
-        #: Previous second's per-relay utilisation: congested relays queue
-        #: cells, inflating effective circuit RTT and shrinking the
-        #: window-limited throughput (Tor's fixed windows over growing
-        #: queues -- the mechanism behind slow transfers in loaded Tor).
-        prev_util = np.zeros(n_relays)
-        measured_seconds = 0
-        #: id(circuit) -> (rtt, queue_factor, window): each circuit's
-        #: last computed window, valid while its RTT and load ratio are
-        #: unchanged. The window is a pure function of the (rtt, queue
-        #: factor) pair verified on every hit, so even an id collision
-        #: (address reuse after churn) cannot return a wrong value.
-        window_memo: dict[int, tuple[float, float, float]] | None = (
-            {} if memoize else None
-        )
-
-        def congested_rtt(base_rtt: float, relay_ids: tuple[int, ...]) -> float:
-            queue_factor = float(prev_util[list(relay_ids)].mean())
-            return base_rtt * (1.0 + 2.5 * (queue_factor * queue_factor))
-
-        for now in range(horizon):
-            # --- Collect this second's flows ---------------------------
-            paths: list[tuple[int, int, int]] = []
-            caps: list[float] = []
-            owners: list[BenchmarkClient | None] = []
-
-            for generator in background:
-                for circuit, demand in generator.demands(now):
-                    ids = tuple(self._index[fp] for fp in circuit.path)
-                    if window_memo is None:
-                        window = circuit_rate_cap(
-                            congested_rtt(circuit.rtt, ids), n_streams=2
-                        )
-                    else:
-                        queue_factor = float(prev_util[list(ids)].mean())
-                        key = id(circuit)
-                        cached = window_memo.get(key)
-                        if (
-                            cached is not None
-                            and cached[0] == circuit.rtt
-                            and cached[1] == queue_factor
-                        ):
-                            window = cached[2]
-                        else:
-                            window = circuit_rate_cap(
-                                circuit.rtt
-                                * (1.0 + 2.5 * (queue_factor * queue_factor)),
-                                n_streams=2,
-                            )
-                            if (
-                                cached is not None
-                                or len(window_memo) < _WINDOW_MEMO_MAX
-                            ):
-                                window_memo[key] = (
-                                    circuit.rtt,
-                                    queue_factor,
-                                    window,
-                                )
-                    paths.append(ids)
-                    caps.append(min(demand, window))
-                    owners.append(None)
-
-            for client in benchmarks:
-                client.maybe_start(now)
-                transfer = client.active
-                if transfer is None:
-                    continue
-                ids = tuple(self._index[fp] for fp in transfer.path)
-                # Benchmark downloads are single-stream (torperf-style),
-                # so the 500-cell stream window binds.
-                transfer.current_rtt = congested_rtt(transfer.rtt, ids)
-                window = circuit_rate_cap(transfer.current_rtt, n_streams=1)
-                paths.append(ids)
-                caps.append(min(window, config.client_access_bits))
-                owners.append(client)
-
-            path_idx = np.array(paths, dtype=np.int64).reshape(-1, 3)
-            cap_arr = np.array(caps)
-            rates = waterfill(
-                path_idx, cap_arr, self._capacity * relay_noise[now]
-            )
-
-            # Oversubscription per relay: offered demand vs capacity.
-            offered_load = np.bincount(
-                path_idx.ravel(),
-                weights=np.repeat(cap_arr, 3),
-                minlength=n_relays,
-            )
-            oversub = offered_load / np.maximum(self._capacity, 1.0)
-
-            # --- Advance benchmark transfers ----------------------------
-            for flow_i, owner in enumerate(owners):
-                if owner is None:
-                    continue
-                rate = float(rates[flow_i])
-                transfer = owner.active
-                if transfer is not None:
-                    # Tor's per-circuit EWMA scheduling is unfair under
-                    # overload: circuits through a heavily oversubscribed
-                    # relay do not get their max-min share -- unlucky ones
-                    # starve almost completely (the source of transfer
-                    # timeouts in loaded Tor networks, paper Fig 9b).
-                    worst = float(
-                        oversub[[self._index[fp] for fp in transfer.path]].max()
-                    )
-                    if worst > OVERLOAD_ONSET:
-                        severity = min(
-                            1.0,
-                            (worst - OVERLOAD_ONSET)
-                            / (OVERLOAD_FULL - OVERLOAD_ONSET),
-                        )
-                        rate *= transfer.luck ** severity
-                owner.advance(now, rate)
-
-            # --- Record -------------------------------------------------
-            relay_load = np.bincount(
-                path_idx.ravel(),
-                weights=np.repeat(rates, 3),
-                minlength=n_relays,
-            )
-            prev_util = np.minimum(
-                1.0, relay_load / np.maximum(self._capacity, 1.0)
-            )
-            if now >= config.warmup_seconds:
-                metrics.throughput_series.append(float(relay_load.sum()))
-                util_acc += prev_util
-                peak = np.maximum(peak, relay_load)
-                load_history.append(relay_load)
-                measured_seconds += 1
-
-        finalize_relay_stats(
-            metrics,
-            self._fingerprints,
-            util_acc,
-            peak,
-            load_history,
-            measured_seconds,
-        )
-        return metrics

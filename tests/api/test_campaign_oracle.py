@@ -3,24 +3,30 @@
 ``_reference_measure_network`` below ports the ``measure_network`` body
 as it stood before the scenario API absorbed it, packing each round
 with the historical per-slot queue rescan
-(:func:`tests.oracles.slot_pack.reference_first_fit`). Registered
+(:func:`tests.oracles.slot_pack.reference_first_fit`) and running each
+measurement through the stateful ``MeasurementEngine.run``. Registered
 scenarios resolved deterministically must produce the *exact* same
-estimates through ``Campaign.run()`` on every kernel backend as that
-historical loop produces on freshly resolved, identical inputs.
+estimates through ``Campaign.run()`` -- which runs each round on the
+vectorized kernel -- as that historical loop produces on freshly
+resolved, identical inputs.
 """
 
 from typing import Callable
 
 import pytest
 
-from repro.api import Campaign, ExecutionConfig, get_scenario
+from repro.api import (
+    Campaign,
+    ExecutionConfig,
+    default_execution_for,
+    get_scenario,
+)
 from repro.core.allocation import allocate_capacity, total_allocated
 from repro.core.engine import MeasurementEngine, MeasurementSpec
 from repro.core.netmeasure import CampaignResult
 from repro.rng import fork
 from tests.oracles.slot_pack import reference_first_fit
-
-BACKENDS = ("serial", "process", "vector")
+from tests.oracles.stateful_engine import use_stateful_reference
 
 
 def _reference_measure_network(
@@ -32,9 +38,7 @@ def _reference_measure_network(
     full_simulation: bool = True,
     noise=None,
     analytic_error_std: float = 0.02,
-    max_workers=None,
     engine=None,
-    backend=None,
 ) -> CampaignResult:
     """The pre-API ``measure_network`` loop, preserved as an oracle."""
     params = authority.params
@@ -103,9 +107,7 @@ def _reference_measure_network(
                 )
                 for fp, z0, rounds, slot, capped, assignments, bg, _ in jobs
             ]
-            outcomes = engine.run_many(
-                specs, max_workers=max_workers, backend=backend
-            )
+            outcomes = [engine.run(spec) for spec in specs]
             results = [
                 (o.estimate, o.failed, o.failure_reason) for o in outcomes
             ]
@@ -158,15 +160,12 @@ def _reference_for_scenario(scenario, execution: ExecutionConfig):
         full_simulation=execution.full_simulation,
         noise=resolved.noise,
         analytic_error_std=execution.analytic_error_std,
-        max_workers=execution.max_workers,
-        backend=execution.backend,
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fig06_accuracy_campaign_matches_reference(backend):
+def test_fig06_accuracy_campaign_matches_reference():
     scenario = get_scenario("fig06-accuracy", n_relays=8, seed=6)
-    execution = ExecutionConfig(backend=backend)
+    execution = ExecutionConfig()
     reference = _reference_for_scenario(scenario, execution)
     report = Campaign(scenario, execution).run()
     assert report.estimates == reference.estimates
@@ -175,10 +174,9 @@ def test_fig06_accuracy_campaign_matches_reference(backend):
     assert report.measurements_run == reference.measurements_run
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_whole_network_efficiency_matches_reference(backend):
+def test_whole_network_efficiency_matches_reference():
     scenario = get_scenario("whole-network-efficiency", n_relays=60, seed=71)
-    execution = ExecutionConfig(backend=backend, full_simulation=False)
+    execution = ExecutionConfig(full_simulation=False)
     reference = _reference_for_scenario(scenario, execution)
     report = Campaign(scenario, execution).run()
     assert report.estimates == reference.estimates
@@ -193,26 +191,28 @@ def test_whole_network_efficiency_matches_reference(backend):
         ("whole-network-efficiency", {"n_relays": 24}),
         ("background-traffic", {"n_relays": 6}),
         ("inflation-attack", {"n_relays": 8}),
+        ("collusion-attack", {"n_relays": 8}),
         ("multi-period-deployment", {"n_relays": 4, "periods": 2}),
         ("shadow-measurement", {"n_relays": 6}),
     ],
 )
-def test_every_registered_scenario_is_backend_invariant(name, overrides):
-    """Each canned scenario produces bit-identical estimates on all
-    four kernel backends (fresh resolution per run: relays are
-    stateful)."""
-    reports = {}
-    for backend in BACKENDS:
-        scenario = get_scenario(name, **overrides)
-        base = ExecutionConfig(backend=backend)
-        if name == "whole-network-efficiency":
-            base = ExecutionConfig(backend=backend, full_simulation=False)
-        reports[backend] = Campaign(scenario, base).run()
-    reference = reports["vector"]
+def test_every_registered_scenario_matches_stateful_reference(
+    name, overrides, monkeypatch
+):
+    """Each canned scenario produces bit-identical estimates and slot
+    counts on the kernel and on the stateful references (per-spec
+    ``MeasurementEngine.run``, per-job ``analytic_estimate``), with a
+    fresh resolution per run: relays are stateful."""
+    execution = default_execution_for(name)
+    with monkeypatch.context() as patch:
+        use_stateful_reference(patch)
+        reference = Campaign(get_scenario(name, **overrides), execution).run()
+    report = Campaign(get_scenario(name, **overrides), execution).run()
     assert reference.estimates, name
-    for backend, report in reports.items():
-        assert report.estimates == reference.estimates, (name, backend)
-        assert report.slots_elapsed == reference.slots_elapsed, (name, backend)
+    assert report.estimates == reference.estimates, name
+    assert report.failures == reference.failures, name
+    assert report.slots_elapsed == reference.slots_elapsed, name
+    assert report.measurements_run == reference.measurements_run, name
 
 
 def test_tor_scale_pack_matches_reference():

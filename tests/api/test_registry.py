@@ -124,14 +124,22 @@ def test_cli_list_and_smoke(capsys):
     for name in CANNED:
         assert name in out
 
-    code = api_main([
-        "fig06-accuracy", "--backend", "serial", "--quiet",
-        "-o", "n_relays=3",
-    ])
+    code = api_main(["fig06-accuracy", "--quiet", "-o", "n_relays=3"])
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["scenario"] == "fig06-accuracy"
     assert summary["relays_estimated"] == 3
+
+
+@pytest.mark.parametrize(
+    "flag", [["--backend", "vector"], ["--shadow-backend", "vector"],
+             ["--workers", "2"]],
+)
+def test_cli_rejects_retired_execution_flags(flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        api_main(["fig06-accuracy", "--quiet", *flag])
+    assert excinfo.value.code == 2
+    assert flag[0] in capsys.readouterr().err
 
 
 def test_cli_no_scenario_shows_listing(capsys):

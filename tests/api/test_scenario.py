@@ -48,6 +48,37 @@ def test_scenario_rejects_bad_fields(kwargs):
         Scenario(**kwargs)
 
 
+@pytest.mark.parametrize("field,value", [
+    # Fractional, bool and string counts used to fail deep in the
+    # columnar synthesis with a TypeError (or run a 1-relay network).
+    ("n_relays", 2.5),
+    ("n_relays", True),
+    ("n_relays", "8"),
+    ("seed", "x"),
+    ("seed", 1.5),
+    # A negative median was a math domain error deep in synthesis; a
+    # NaN median, sigma or cap gave every relay a NaN capacity, and
+    # every measurement then failed without an error.
+    ("median", -1),
+    ("median", 0.0),
+    ("median", float("nan")),
+    ("median", float("inf")),
+    ("sigma", float("nan")),
+    ("sigma", -0.5),
+    ("max_capacity", float("nan")),
+    ("max_capacity", -1e9),
+])
+def test_network_spec_rejects_malformed_fields_naming_them(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        NetworkSpec(**{field: value})
+
+
+def test_network_spec_accepts_boundary_values():
+    spec = NetworkSpec(n_relays=1, seed=0, median=1.0, sigma=0.0,
+                       max_capacity=1.0)
+    assert len(spec.build(default_seed=3)) == 1
+
+
 @pytest.mark.parametrize("prior", [
     float("nan"), float("inf"), float("-inf"), -1.0, "fast",
 ])
@@ -91,13 +122,8 @@ def test_adversary_spec_rejects_unknown_name_and_bad_fraction():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"backend": ""},
-    {"backend": "vectr"},  # typos fail at construction, not mid-run
-    {"max_workers": 0},
     {"max_rounds": 0},
     {"analytic_error_std": -0.1},
-    {"backend": "thread"},  # retired backends are unknown names now
-    {"backend": "analytic"},
     # NaN would pin every analytic wobble at the 0.8 floor.
     {"analytic_error_std": float("nan")},
     {"analytic_error_std": float("inf")},
@@ -106,12 +132,17 @@ def test_adversary_spec_rejects_unknown_name_and_bad_fraction():
     {"max_rounds": 2.5},
     {"max_rounds": True},
     {"max_rounds": "8"},
-    {"max_workers": 2.5},
-    {"max_workers": True},
-    {"max_workers": "4"},
     {"full_simulation": "no"},
     {"full_simulation": 1},
     {"full_simulation": None},
+    {"max_rounds": -1},
+    {"max_rounds": None},
+    {"analytic_error_std": None},
+    {"analytic_error_std": float("-inf")},
+    {"full_simulation": 0},
+    {"full_simulation": "True"},
+    {"trace": 5},
+    {"trace": b"trace.jsonl"},
 ])
 def test_execution_config_rejects_bad_fields(kwargs):
     (field,) = kwargs
@@ -119,27 +150,20 @@ def test_execution_config_rejects_bad_fields(kwargs):
         ExecutionConfig(**kwargs)
 
 
-def test_execution_config_unknown_backend_lists_the_known_ones():
-    with pytest.raises(ConfigurationError) as excinfo:
-        ExecutionConfig(backend="thread")
-    message = str(excinfo.value)
-    for name in ("auto", "process", "serial", "vector"):
-        assert repr(name) in message
+@pytest.mark.parametrize("field", ["backend", "shadow_backend", "max_workers"])
+def test_execution_config_retired_fields_are_unknown(field):
+    """The removed knobs are not fields any more: the dataclass's own
+    TypeError names them."""
+    with pytest.raises(TypeError, match=field):
+        ExecutionConfig(**{field: None})
 
 
 def test_execution_config_accepts_boundary_values():
     config = ExecutionConfig(
-        max_workers=1, max_rounds=1, analytic_error_std=0,
-        full_simulation=False,
+        max_rounds=1, analytic_error_std=0, full_simulation=False,
     )
-    assert (config.max_workers, config.max_rounds) == (1, 1)
+    assert config.max_rounds == 1
     assert ExecutionConfig(analytic_error_std=0.5).analytic_error_std == 0.5
-
-
-def test_execution_config_with_backend():
-    config = ExecutionConfig(max_rounds=5).with_backend("serial")
-    assert config.backend == "serial"
-    assert config.max_rounds == 5
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Deprecation shims: old entry points, bit-identical via the API."""
+"""Compatibility shims: old entry points, bit-identical via the API."""
 
 import warnings
 
@@ -17,15 +17,11 @@ def _fresh(seed_net=21, seed_auth=22, n_relays=10):
     )
 
 
-def test_loose_kwargs_emit_deprecation_warning():
+@pytest.mark.parametrize("kwarg", ["backend", "max_workers", "engine"])
+def test_loose_execution_kwargs_are_gone(kwarg):
     network, auth = _fresh()
-    with pytest.warns(DeprecationWarning, match="ExecutionConfig"):
-        measure_network(
-            network, auth, full_simulation=False, backend="serial"
-        )
-    network, auth = _fresh()
-    with pytest.warns(DeprecationWarning):
-        measure_network(network, auth, full_simulation=False, max_workers=2)
+    with pytest.raises(TypeError, match=kwarg):
+        measure_network(network, auth, full_simulation=False, **{kwarg: None})
 
 
 def test_plain_calls_do_not_warn():
@@ -37,15 +33,10 @@ def test_plain_calls_do_not_warn():
 
 def test_measure_network_shim_bit_identical_to_campaign():
     network, auth = _fresh()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        shim = measure_network(
-            network, auth, full_simulation=True, backend="vector"
-        )
+    shim = measure_network(network, auth, full_simulation=True)
     network2, auth2 = _fresh()
     report = Campaign(
-        Scenario(network=network2, team=auth2),
-        ExecutionConfig(backend="vector"),
+        Scenario(network=network2, team=auth2), ExecutionConfig()
     ).run()
     assert shim.estimates == report.estimates
     assert shim.failures == report.failures

@@ -11,7 +11,6 @@ import statistics
 import pytest
 
 from repro import quick_team
-from repro.api import Campaign, ExecutionConfig, Scenario
 from repro.core.allocation import allocate_capacity, total_allocated
 from repro.core.engine import (
     MeasurementEngine,
@@ -178,31 +177,8 @@ def test_ramp_profile_matches_per_second_rate_caps():
 
 
 # ---------------------------------------------------------------------------
-# Concurrency: worker count never changes results
+# Batches: shared targets keep the stateful slot order
 # ---------------------------------------------------------------------------
-
-def _many_specs(params, team, n=8, seed0=40):
-    specs = []
-    for i in range(n):
-        relay = Relay.with_capacity(f"relay{i}", mbit(80 + 40 * i), seed=seed0 + i)
-        specs.append(
-            _spec(relay, team, mbit(500), params, seed=seed0 + i,
-                  enforce_admission=False)
-        )
-    return specs
-
-
-def test_run_many_parallel_matches_serial(engine):
-    params = FlashFlowParams()
-    auth = quick_team(seed=4)
-    serial = engine.run_many(_many_specs(params, auth.team), max_workers=1)
-    parallel = engine.run_many(_many_specs(params, auth.team), max_workers=4)
-    assert len(serial) == len(parallel) == 8
-    for a, b in zip(serial, parallel):
-        assert a.estimate == b.estimate
-        assert a.per_second_total == b.per_second_total
-        assert a.cells_checked == b.cells_checked
-
 
 def test_run_many_duplicate_targets_fall_back_to_serial(engine):
     """Specs sharing a relay must not race its token bucket / RNG."""
@@ -214,7 +190,7 @@ def test_run_many_duplicate_targets_fall_back_to_serial(engine):
               enforce_admission=False)
         for s in (1, 2)
     ]
-    outcomes = engine.run_many(specs, max_workers=4)
+    outcomes = engine.run_many(specs)
     # Identical to running them one after the other on a twin relay.
     twin = Relay.with_capacity("shared", mbit(100), seed=50)
     expected = [
@@ -223,38 +199,6 @@ def test_run_many_duplicate_targets_fall_back_to_serial(engine):
         for s in (1, 2)
     ]
     assert [o.estimate for o in outcomes] == [o.estimate for o in expected]
-
-
-def _campaign_result(network, auth, max_workers, full_simulation=True):
-    """The supported execution path (no deprecated loose kwargs)."""
-    report = Campaign(
-        Scenario(network=network, team=auth),
-        ExecutionConfig(max_workers=max_workers, full_simulation=full_simulation),
-    ).run()
-    return report.result
-
-
-def test_measure_network_worker_count_invariant():
-    network1 = synthesize_network(n_relays=20, seed=71)
-    network4 = synthesize_network(n_relays=20, seed=71)
-    auth1 = quick_team(seed=72)
-    auth4 = quick_team(seed=72)
-    r1 = _campaign_result(network1, auth1, max_workers=1)
-    r4 = _campaign_result(network4, auth4, max_workers=4)
-    assert r1.estimates == r4.estimates
-    assert r1.failures == r4.failures
-    assert r1.slots_elapsed == r4.slots_elapsed
-    assert r1.measurements_run == r4.measurements_run
-
-
-def test_measure_network_analytic_worker_count_invariant():
-    network = synthesize_network(n_relays=30, seed=73)
-    auth1 = quick_team(seed=74)
-    auth4 = quick_team(seed=74)
-    r1 = _campaign_result(network, auth1, max_workers=1, full_simulation=False)
-    r4 = _campaign_result(network, auth4, max_workers=4, full_simulation=False)
-    assert r1.estimates == r4.estimates
-    assert r1.slots_elapsed == r4.slots_elapsed
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,37 @@ def test_invalid_params_rejected(kwargs):
         FlashFlowParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        # Each of these used to be accepted: bool and fractional counts
+        # ran the wrong socket count or failed deep in the columnar
+        # round code, and NaN/inf slipped past every range check.
+        ("n_sockets", True),
+        ("n_sockets", 2.5),
+        ("slot_seconds", 2.5),
+        ("slot_seconds", float("nan")),
+        ("period_seconds", float("nan")),
+        ("multiplier", float("nan")),
+        ("multiplier", float("inf")),
+        ("epsilon1", float("nan")),
+        ("epsilon2", float("nan")),
+        ("new_relay_seed", float("nan")),
+        ("new_relay_seed", -1.0),
+        ("new_relay_seed", 0.0),
+    ],
+)
+def test_malformed_params_rejected_naming_the_field(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        FlashFlowParams(**{field: value})
+
+
+def test_params_accept_int_floats_and_boundaries():
+    p = FlashFlowParams(multiplier=2, epsilon1=0, epsilon2=0, ratio=0,
+                        p_check=1, new_relay_seed=1)
+    assert p.allocation_factor == 2.0
+
+
 def test_params_frozen():
     p = FlashFlowParams()
     with pytest.raises(AttributeError):

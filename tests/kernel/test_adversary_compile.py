@@ -6,8 +6,8 @@ honest relays: every outcome field, every per-second series, the
 relay's settled state (bucket tokens, observed bandwidth, RNG stream
 position), and the *behaviour's own* state (cheater ledger, forger
 RNG/forge count, selective slot roll) must be exactly ``==`` to a
-stateful ``MeasurementEngine.run`` twin -- on every backend, with the
-fallback counter proving no spec quietly took the stateful path.
+stateful ``MeasurementEngine.run`` twin, with the fallback counter
+proving no spec quietly took the stateful path.
 """
 
 import pytest
@@ -109,17 +109,16 @@ def _assert_state_exactly_equal(spec_kernel, spec_stateful):
         assert bk._currently_active == bs._currently_active
 
 
-@pytest.mark.parametrize("backend", ["serial", "vector"])
 @pytest.mark.parametrize("seed0", [11, 23])
 @pytest.mark.parametrize("name", sorted(BEHAVIORS))
-def test_compiled_adversary_matches_stateful_exactly(team, name, seed0, backend):
+def test_compiled_adversary_matches_stateful_exactly(team, name, seed0):
     make = BEHAVIORS[name]
     specs_stateful = _adversary_specs(team, make, seed0)
     specs_kernel = _adversary_specs(team, make, seed0)
 
     stateful = [MeasurementEngine().run(s) for s in specs_stateful]
     fallbacks_before = get_registry().counter("kernel.specs.fallback").value
-    kernel = MeasurementEngine().run_many(specs_kernel, backend=backend)
+    kernel = MeasurementEngine().run_many(specs_kernel)
     # Every adversarial spec compiled -- no silent stateful fallback.
     assert (
         get_registry().counter("kernel.specs.fallback").value
@@ -157,22 +156,22 @@ def _mixed_specs(team, seed0):
     return specs
 
 
-@pytest.mark.parametrize("backend", ["process"])
-def test_mixed_adversary_batch_pool_backends(team, backend):
-    """All four attacks plus honest relays through a worker pool: the
-    shm/pickle transports round-trip failure truncation, forge counts,
-    and behaviour RNG state exactly."""
-    stateful = [MeasurementEngine().run(s) for s in _mixed_specs(team, 300)]
+def test_mixed_adversary_batch_matches_stateful(team):
+    """All four attacks plus honest relays in one batch walk: failure
+    truncation, forge counts and behaviour RNG state come out exactly
+    as on the stateful path."""
+    specs_stateful = _mixed_specs(team, 300)
+    stateful = [MeasurementEngine().run(s) for s in specs_stateful]
     specs_kernel = _mixed_specs(team, 300)
     fallbacks_before = get_registry().counter("kernel.specs.fallback").value
-    kernel = MeasurementEngine().run_many(
-        specs_kernel, backend=backend, max_workers=2
-    )
+    kernel = MeasurementEngine().run_many(specs_kernel)
     assert (
         get_registry().counter("kernel.specs.fallback").value
         == fallbacks_before
     )
     _assert_outcomes_exactly_equal(kernel, stateful)
+    for sk, ss in zip(specs_kernel, specs_stateful):
+        _assert_state_exactly_equal(sk, ss)
 
 
 def test_full_forger_fails_identically_everywhere(team):
@@ -184,7 +183,7 @@ def test_full_forger_fails_identically_everywhere(team):
     specs_stateful = _adversary_specs(team, full, 61, n=2)
     specs_kernel = _adversary_specs(team, full, 61, n=2)
     stateful = [MeasurementEngine().run(s) for s in specs_stateful]
-    kernel = MeasurementEngine().run_many(specs_kernel, backend="vector")
+    kernel = MeasurementEngine().run_many(specs_kernel)
     assert all(o.failed for o in stateful)
     assert all(o.estimate == 0.0 for o in stateful)
     _assert_outcomes_exactly_equal(kernel, stateful)

@@ -4,8 +4,8 @@ The contract: lowering a round of ``MeasurementEngine.analytic_estimate``
 calls into the array walk (:mod:`repro.kernel.analytic`) changes *no
 bits* -- estimates, acceptance thresholds, and accept decisions are
 ``==`` to the stateful scalar loop for every seed, prior shape, and
-background form, and whole analytic campaigns are ``==`` across
-backends.
+background form, and whole analytic campaigns are ``==`` to campaigns
+whose rounds call ``analytic_estimate`` once per job.
 """
 
 import pytest
@@ -24,6 +24,7 @@ from repro.rng import fork
 from repro.tornet.network import synthesize_network
 from repro.tornet.relay import Relay
 from repro.units import mbit
+from tests.oracles.stateful_engine import use_stateful_reference
 
 
 class _Job:
@@ -69,24 +70,13 @@ def _round_jobs(n=40, seed=3):
 def test_round_walk_matches_scalar_loop_exactly(seed):
     params, jobs = _round_jobs(seed=seed)
     engine = MeasurementEngine()
-    result = run_analytic_round(engine, jobs, params, backend="vector")
+    result = run_analytic_round(engine, jobs, params)
     for i, job in enumerate(jobs):
         z = engine.analytic_estimate(job.relay, job.assignments, params, job.wobble)
         threshold = params.acceptance_threshold(total_allocated(job.assignments))
         assert result.estimates[i] == z
         assert result.thresholds[i] == threshold
         assert result.accepted[i] == (z < threshold or job.capped)
-
-
-def test_serial_backend_keeps_the_stateful_loop():
-    params, jobs = _round_jobs()
-    engine = MeasurementEngine()
-    serial = run_analytic_round(engine, jobs, params, backend="serial")
-    # The debug path leaves fold decisions to the caller...
-    assert serial.thresholds is None and serial.accepted is None
-    # ...and its estimates are the vector walk's, bit for bit.
-    vector = run_analytic_round(engine, jobs, params, backend="vector")
-    assert serial.estimates == vector.estimates
 
 
 def test_compiled_capacity_matches_the_relay_property():
@@ -128,11 +118,11 @@ def test_empty_round():
 
 
 # ---------------------------------------------------------------------------
-# Campaign-level oracle: serial vs vectorized analytic campaigns
+# Campaign-level oracle: scalar reference vs vectorized analytic campaigns
 # ---------------------------------------------------------------------------
 
-def _analytic_campaign(backend, *, seed_net, seed_auth, priors=None,
-                       background=0.0, periods=1, n_relays=40):
+def _analytic_campaign(*, seed_net, seed_auth, priors=None, background=0.0,
+                       periods=1, n_relays=40):
     network = synthesize_network(n_relays=n_relays, seed=seed_net)
     authority = quick_team(seed=seed_auth)
     campaign = Campaign(
@@ -143,9 +133,17 @@ def _analytic_campaign(backend, *, seed_net, seed_auth, priors=None,
             background=background,
             periods=periods,
         ),
-        ExecutionConfig(backend=backend, full_simulation=False),
+        ExecutionConfig(full_simulation=False),
     )
     return campaign.run()
+
+
+def _analytic_campaigns(monkeypatch, **kwargs):
+    """(scalar reference, kernel) reports of one analytic campaign."""
+    with monkeypatch.context() as patch:
+        use_stateful_reference(patch)
+        reference = _analytic_campaign(**kwargs)
+    return reference, _analytic_campaign(**kwargs)
 
 
 def _assert_reports_identical(a, b):
@@ -159,16 +157,14 @@ def _assert_reports_identical(a, b):
 
 
 @pytest.mark.parametrize("seed_net,seed_auth", [(31, 32), (73, 74), (5, 6)])
-def test_analytic_campaigns_identical_across_backends(seed_net, seed_auth):
-    reference = _analytic_campaign(
-        "serial", seed_net=seed_net, seed_auth=seed_auth
+def test_analytic_campaigns_match_the_scalar_reference(
+    seed_net, seed_auth, monkeypatch
+):
+    reference, report = _analytic_campaigns(
+        monkeypatch, seed_net=seed_net, seed_auth=seed_auth
     )
     assert len(reference.estimates) > 0
-    for backend in (None, "vector", "process"):
-        report = _analytic_campaign(
-            backend, seed_net=seed_net, seed_auth=seed_auth
-        )
-        _assert_reports_identical(reference, report)
+    _assert_reports_identical(reference, report)
 
 
 @pytest.mark.parametrize(
@@ -176,34 +172,23 @@ def test_analytic_campaigns_identical_across_backends(seed_net, seed_auth):
     [None, "truth", {}],
     ids=["cold", "truth", "empty-dict"],
 )
-def test_analytic_campaigns_identical_across_prior_shapes(priors):
-    reference = _analytic_campaign(
-        "serial", seed_net=41, seed_auth=42, priors=priors
-    )
-    report = _analytic_campaign(
-        "vector", seed_net=41, seed_auth=42, priors=priors
-    )
-    _assert_reports_identical(reference, report)
+def test_analytic_campaigns_identical_across_prior_shapes(priors, monkeypatch):
+    _assert_reports_identical(*_analytic_campaigns(
+        monkeypatch, seed_net=41, seed_auth=42, priors=priors
+    ))
 
 
-def test_analytic_campaigns_identical_across_background_forms():
+def test_analytic_campaigns_identical_across_background_forms(monkeypatch):
     demand = mbit(25.0)
     for background in (demand, lambda _t: demand, {"relay0": demand}):
-        reference = _analytic_campaign(
-            "serial", seed_net=51, seed_auth=52, background=background
-        )
-        report = _analytic_campaign(
-            "vector", seed_net=51, seed_auth=52, background=background
-        )
-        _assert_reports_identical(reference, report)
+        _assert_reports_identical(*_analytic_campaigns(
+            monkeypatch, seed_net=51, seed_auth=52, background=background
+        ))
 
 
-def test_multi_period_analytic_deployment_identical():
-    reference = _analytic_campaign(
-        "serial", seed_net=61, seed_auth=62, periods=3, n_relays=20
-    )
-    report = _analytic_campaign(
-        "vector", seed_net=61, seed_auth=62, periods=3, n_relays=20
+def test_multi_period_analytic_deployment_identical(monkeypatch):
+    reference, report = _analytic_campaigns(
+        monkeypatch, seed_net=61, seed_auth=62, periods=3, n_relays=20
     )
     _assert_reports_identical(reference, report)
     assert len(reference.period_results) == 3

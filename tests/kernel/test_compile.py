@@ -296,7 +296,7 @@ def test_run_many_mixed_honest_and_adversarial_matches_stateful(team):
         return specs
 
     stateful = [MeasurementEngine().run(s) for s in build("a")]
-    kernel = MeasurementEngine().run_many(build("b"), backend="vector")
+    kernel = MeasurementEngine().run_many(build("b"))
     assert [o.estimate for o in kernel] == [o.estimate for o in stateful]
     assert [o.per_second_total for o in kernel] \
         == [o.per_second_total for o in stateful]

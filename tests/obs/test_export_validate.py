@@ -28,7 +28,7 @@ def _write_trace(path, n_children=2):
     """One traced 'run': root span, children, metrics, end record."""
     registry = MetricsRegistry()
     registry.counter("campaign.rounds").inc(n_children)
-    tracer = Tracer(sink=JsonlTraceWriter(path, run_manifest("unit", 7, "vector")))
+    tracer = Tracer(sink=JsonlTraceWriter(path, run_manifest("unit", 7)))
     with tracer.span("campaign", scenario="unit"):
         for index in range(n_children):
             with tracer.span("round", round_index=index):
@@ -38,12 +38,12 @@ def _write_trace(path, n_children=2):
 
 
 def test_run_manifest_fields():
-    manifest = run_manifest("fig06", 3, "vector", periods=2, max_rounds=5)
+    manifest = run_manifest("fig06", 3, periods=2, max_rounds=5)
     assert manifest["type"] == "manifest"
     assert manifest["schema"] == TRACE_SCHEMA
     assert manifest["scenario"] == "fig06"
     assert manifest["seed"] == 3
-    assert manifest["backend"] == "vector"
+    assert "backend" not in manifest
     assert manifest["periods"] == 2 and manifest["max_rounds"] == 5
     assert manifest["cpu_count"] >= 1
     assert isinstance(manifest["python"], str)
@@ -64,7 +64,7 @@ def test_writer_record_sequence(tmp_path):
 
 def test_writer_double_finish_is_a_noop(tmp_path):
     path = tmp_path / "trace.jsonl"
-    writer = JsonlTraceWriter(path, run_manifest("unit", 0, None))
+    writer = JsonlTraceWriter(path, run_manifest("unit", 0))
     writer.finish()
     writer.finish()
     records = _read_records(path)
@@ -73,7 +73,7 @@ def test_writer_double_finish_is_a_noop(tmp_path):
 
 def test_writer_creates_parent_directories(tmp_path):
     path = tmp_path / "a" / "b" / "trace.jsonl"
-    JsonlTraceWriter(path, run_manifest("unit", 0, None)).finish()
+    JsonlTraceWriter(path, run_manifest("unit", 0)).finish()
     assert path.exists()
 
 
@@ -87,6 +87,21 @@ def test_validate_accepts_a_real_trace(tmp_path):
     assert stats["metrics_records"] == 1
     assert stats["span_names"] == ["campaign", "round"]
     assert stats["manifest"]["scenario"] == "unit"
+
+
+def test_validate_accepts_a_trace_whose_manifest_names_a_backend(tmp_path):
+    """Traces written while the manifest recorded the kernel and shadow
+    backends still validate: unknown manifest keys are ignored."""
+    path = tmp_path / "old.jsonl"
+    manifest = run_manifest("unit", 7, backend="process",
+                            shadow_backend="stateful")
+    tracer = Tracer(sink=JsonlTraceWriter(path, manifest))
+    with tracer.span("campaign", backend="process"):
+        pass
+    tracer.finish(registry=MetricsRegistry())
+    stats = validate_trace(path)
+    assert stats["manifest"]["backend"] == "process"
+    assert stats["spans"] == 1
 
 
 def test_validate_rejects_missing_manifest(tmp_path):
@@ -108,7 +123,7 @@ def test_validate_rejects_truncated_trace(tmp_path):
 
 def test_validate_rejects_bad_parent_order(tmp_path):
     path = tmp_path / "trace.jsonl"
-    manifest = json.dumps(run_manifest("unit", 0, None))
+    manifest = json.dumps(run_manifest("unit", 0))
     span = json.dumps(
         {
             "type": "span",
@@ -126,7 +141,7 @@ def test_validate_rejects_bad_parent_order(tmp_path):
 
 def test_validate_rejects_missing_metrics(tmp_path):
     path = tmp_path / "trace.jsonl"
-    manifest = json.dumps(run_manifest("unit", 0, None))
+    manifest = json.dumps(run_manifest("unit", 0))
     end = json.dumps({"type": "end", "spans": 0})
     path.write_text(manifest + "\n" + end + "\n")
     with pytest.raises(TraceValidationError, match="metrics"):

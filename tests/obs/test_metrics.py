@@ -62,11 +62,11 @@ def test_empty_histogram_mean_is_zero():
 
 def test_snapshot_shape():
     registry = MetricsRegistry()
-    registry.counter("kernel.shm.fallbacks").inc(2)
+    registry.counter("kernel.specs.fallback").inc(2)
     registry.gauge("service.relays").set(3)
     registry.histogram("round.wall_seconds").observe(0.25)
     snap = registry.snapshot()
-    assert snap["counters"] == {"kernel.shm.fallbacks": 2}
+    assert snap["counters"] == {"kernel.specs.fallback": 2}
     assert snap["gauges"] == {
         "service.relays": {"value": 3, "max": 3}
     }

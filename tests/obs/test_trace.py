@@ -94,14 +94,14 @@ def test_span_ids_allocate_parent_first():
 
 def test_span_records_times_and_attrs():
     tracer = Tracer()
-    with tracer.span("work", backend="vector") as span:
+    with tracer.span("work", period_index=0) as span:
         span.set(n_jobs=3)
     assert span.wall_seconds >= 0.0
     assert span.cpu_seconds >= 0.0
     record = span.to_dict()
     assert record["type"] == "span"
     assert record["name"] == "work"
-    assert record["attrs"] == {"backend": "vector", "n_jobs": 3}
+    assert record["attrs"] == {"period_index": 0, "n_jobs": 3}
 
 
 def test_span_captures_exception_type():

@@ -134,9 +134,12 @@ def test_double_resume_chains(tmp_path, reference):
 
 
 def _with_retired_execution_keys(execution: dict) -> dict:
-    """An execution dict as journals recorded it while ``pipeline`` and
-    ``shards`` were ExecutionConfig fields (both always null there)."""
-    out = {}
+    """An execution dict as older journals recorded it: ``backend``,
+    ``shadow_backend`` and ``max_workers`` first (with values such a
+    journal could carry), and ``pipeline``/``shards`` (always null)
+    before ``trace``."""
+    out = {"backend": "process", "shadow_backend": "stateful",
+           "max_workers": 2}
     for key, value in execution.items():
         if key == "trace":
             out["pipeline"] = None
@@ -147,8 +150,10 @@ def _with_retired_execution_keys(execution: dict) -> dict:
 
 def test_journal_with_retired_execution_keys_resumes(tmp_path):
     """A ``flashflow-service/1`` journal whose manifest and snapshots
-    carry ``"pipeline": null, "shards": null`` in the execution config
-    resumes and publishes byte-identical bandwidth files."""
+    carry the retired execution keys -- ``backend``, ``shadow_backend``,
+    ``max_workers``, ``pipeline``, ``shards`` -- and whose manifest
+    records a top-level ``backend`` resumes, validates, and publishes
+    byte-identical bandwidth files."""
     reference_dir = tmp_path / "reference"
     run_daemon(config(out_dir=str(reference_dir)))
 
@@ -159,13 +164,19 @@ def test_journal_with_retired_execution_keys_resumes(tmp_path):
     lines = []
     for line in journal_path.read_text(encoding="utf-8").splitlines():
         record = json.loads(line)
+        if record["type"] == "manifest":
+            record["backend"] = "process"
         if record.get("config") is not None:
             record["config"]["execution"] = _with_retired_execution_keys(
                 record["config"]["execution"]
             )
         lines.append(json.dumps(record))
     journal_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert journal_path.read_text().count('"shards": null') == 3
+    text = journal_path.read_text()
+    assert text.count('"shards": null') == 3
+    assert text.count('"max_workers": 2') == 3
+    assert text.count('"backend": "process"') == 4
+    validate_journal(journal_path)
 
     resumed = BwauthDaemon.resume(journal_path)
     assert resumed.next_period == 2

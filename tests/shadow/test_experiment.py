@@ -19,6 +19,7 @@ from repro.shadow.experiment import (
     relay_weight_errors,
     torflow_weights_for,
 )
+from tests.oracles.stateful_engine import use_stateful_reference
 
 
 @pytest.fixture(scope="module")
@@ -181,22 +182,19 @@ def test_flashflow_pipeline_standalone():
 # Kernel routing: the measurement phase runs on the vectorized kernel
 # ---------------------------------------------------------------------------
 
-def test_flashflow_weights_identical_across_kernel_backends():
-    """The shadow measurement phase is backend-invariant, bit for bit."""
+def test_flashflow_weights_match_stateful_engine(monkeypatch):
+    """The shadow measurement phase on the kernel equals the same phase
+    with every spec run through the stateful engine, bit for bit."""
     config = ShadowConfig(
         n_relays=24, n_markov_clients=10, n_benchmark_clients=2,
         sim_seconds=30, warmup_seconds=10, seed=5,
     )
-    # A fresh network per backend: relays are stateful (jitter RNG
-    # streams, admission, token buckets), so re-measuring the same
-    # objects would legitimately differ.
-    weights = {
-        backend: flashflow_weights_for(
-            build_network(config), seed=5, backend=backend
-        )
-        for backend in ("vector", "serial", "process")
-    }
-    reference = weights["vector"]
+    # A fresh network per run: relays are stateful (jitter RNG streams,
+    # admission, token buckets), so re-measuring the same objects would
+    # legitimately differ.
+    with monkeypatch.context() as patch:
+        use_stateful_reference(patch)
+        reference = flashflow_weights_for(build_network(config), seed=5)
+    weights = flashflow_weights_for(build_network(config), seed=5)
     assert len(reference) == 24
-    for backend, estimate_map in weights.items():
-        assert estimate_map == reference, backend
+    assert weights == reference

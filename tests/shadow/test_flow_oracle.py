@@ -1,9 +1,9 @@
 """Oracle tests: the vectorized flow kernel is bit-identical to the
-stateful per-second walk.
+historical per-second walk.
 
-Mirrors ``tests/api/test_campaign_oracle.py``: the historical stateful
-walk (``backend="stateful"``) is the oracle, and the vectorized flow
-kernel (``backend="vector"``, the default) must reproduce every
+Mirrors ``tests/api/test_campaign_oracle.py``: the historical walk
+(:func:`tests.oracles.shadow_walk.reference_walk`) is the oracle, and
+``NetworkSimulator.run`` (the flow kernel) must reproduce every
 ``SimulationMetrics`` field with *exact* equality -- TTLB/TTFB lists,
 error rates, transfer counts, the full throughput series, and the
 per-relay utilisation/peak/p95 dicts -- across seeds, loads, and both
@@ -12,19 +12,10 @@ weight systems (ground-truth/FlashFlow-style and TorFlow-style).
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.shadow.config import ShadowConfig, ShadowNetwork, build_network
 from repro.shadow.experiment import torflow_weights_for
-from repro.shadow.flows import (
-    SHADOW_BACKEND_ENV_VAR,
-    StatefulFlowBackend,
-    get_shadow_backend,
-    resolve_shadow_backend_name,
-    shadow_backend_names,
-)
 from repro.shadow.simulator import NetworkSimulator
-
-BACKENDS = ("stateful", "vector")
+from tests.oracles.shadow_walk import reference_walk
 
 
 def _signature(metrics) -> dict:
@@ -78,19 +69,13 @@ def _weights(network: ShadowNetwork, system: str, seed: int) -> dict:
 def test_vector_kernel_bit_identical(seed, load, system):
     network = _network(seed, load)
     weights = _weights(network, system, seed)
-    signatures = {
-        backend: _signature(
-            NetworkSimulator(network, seed=seed + 7).run(
-                weights, backend=backend
-            )
-        )
-        for backend in BACKENDS
-    }
-    reference = signatures["stateful"]
+    reference = _signature(
+        reference_walk(NetworkSimulator(network, seed=seed + 7), weights)
+    )
+    kernel = _signature(NetworkSimulator(network, seed=seed + 7).run(weights))
     assert reference["transfers_completed"] > 0
-    for backend, signature in signatures.items():
-        for key, value in reference.items():
-            assert signature[key] == value, (backend, key)
+    for key, value in reference.items():
+        assert kernel[key] == value, key
 
 
 def test_vector_kernel_bit_identical_on_timeout_path():
@@ -112,14 +97,12 @@ def test_vector_kernel_bit_identical_on_timeout_path():
         )
     )
     weights = torflow_weights_for(network, seed=3, warmup_sim_seconds=30)
-    stateful = _signature(
-        NetworkSimulator(network, seed=4).run(weights, backend="stateful")
+    reference = _signature(
+        reference_walk(NetworkSimulator(network, seed=4), weights)
     )
-    vector = _signature(
-        NetworkSimulator(network, seed=4).run(weights, backend="vector")
-    )
-    assert stateful["transfers_failed"] > 0
-    assert vector == stateful
+    kernel = _signature(NetworkSimulator(network, seed=4).run(weights))
+    assert reference["transfers_failed"] > 0
+    assert kernel == reference
 
 
 def test_vector_kernel_identical_across_churn_boundaries():
@@ -127,70 +110,6 @@ def test_vector_kernel_identical_across_churn_boundaries():
     for lifetime in (7, 31, 62, 500):
         network = _network(3, 1.0, lifetime=lifetime)
         weights = network.relays.capacities()
-        stateful = NetworkSimulator(network, seed=9).run(
-            weights, backend="stateful"
-        )
-        vector = NetworkSimulator(network, seed=9).run(
-            weights, backend="vector"
-        )
-        assert _signature(stateful) == _signature(vector), lifetime
-
-
-def test_window_memo_never_changes_results():
-    """The stateful walk's congested-window memo is exact: enabling it
-    cannot change a single metric."""
-    network = _network(2, 1.4)
-    weights = _weights(network, "torflow", 2)
-    memoized = NetworkSimulator(network, seed=4).run(
-        weights, backend="stateful"
-    )
-    plain = StatefulFlowBackend(memoize=False).run(
-        NetworkSimulator(network, seed=4), weights
-    )
-    assert _signature(memoized) == _signature(plain)
-
-
-def test_default_backend_is_vector(monkeypatch):
-    monkeypatch.delenv(SHADOW_BACKEND_ENV_VAR, raising=False)
-    assert resolve_shadow_backend_name(None) == "vector"
-    assert resolve_shadow_backend_name("auto") == "vector"
-    assert resolve_shadow_backend_name("stateful") == "stateful"
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(SHADOW_BACKEND_ENV_VAR, "stateful")
-    assert resolve_shadow_backend_name(None) == "stateful"
-    # Explicit argument still wins over the environment.
-    assert resolve_shadow_backend_name("vector") == "vector"
-    monkeypatch.setenv(SHADOW_BACKEND_ENV_VAR, "auto")
-    assert resolve_shadow_backend_name(None) == "vector"
-
-
-def test_registry_lists_both_backends():
-    names = shadow_backend_names()
-    assert "stateful" in names and "vector" in names
-    with pytest.raises(ConfigurationError):
-        get_shadow_backend("no-such-backend")
-
-
-def test_run_rejects_unknown_backend():
-    network = _network(1, 1.0)
-    sim = NetworkSimulator(network, seed=1)
-    with pytest.raises(ConfigurationError):
-        sim.run(network.relays.capacities(), backend="bogus")
-
-
-def test_invalid_env_backend_fails_fast_at_resolution(monkeypatch):
-    """A typo'd FLASHFLOW_SHADOW_BACKEND raises at resolution time,
-    naming the registered backends -- not a raw KeyError mid-simulation."""
-    monkeypatch.setenv(SHADOW_BACKEND_ENV_VAR, "vectr")
-    with pytest.raises(ConfigurationError) as excinfo:
-        resolve_shadow_backend_name(None)
-    message = str(excinfo.value)
-    assert SHADOW_BACKEND_ENV_VAR in message
-    for name in shadow_backend_names():
-        assert name in message
-    # Explicit and env-free resolution still validates the same way.
-    monkeypatch.delenv(SHADOW_BACKEND_ENV_VAR, raising=False)
-    with pytest.raises(ConfigurationError, match="known backends"):
-        resolve_shadow_backend_name("statefull")
+        reference = reference_walk(NetworkSimulator(network, seed=9), weights)
+        kernel = NetworkSimulator(network, seed=9).run(weights)
+        assert _signature(reference) == _signature(kernel), lifetime

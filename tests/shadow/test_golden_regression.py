@@ -3,11 +3,11 @@
 ``compare_systems`` feeds the paper's Figure 8/9 claims; a refactor of
 the flow kernel, the waterfiller, or the measurement stack that shifts
 these numbers should fail loudly here, not drift silently. The pinned
-values were produced by the stateful walk and are asserted against the
-default (vectorized) backend *and* re-checked with
-``shadow_backend="stateful"`` -- so this file simultaneously pins the
-paper-comparison results and proves backend-invariance at the whole-
-pipeline level.
+values were produced by the historical per-second walk and are
+asserted against the flow kernel *and* re-checked with that walk
+(:func:`tests.oracles.shadow_walk.reference_walk`) patched in -- so
+this file simultaneously pins the paper-comparison results and proves
+kernel/walk equality at the whole-pipeline level.
 
 Tolerances are tight (rel=1e-6): the simulation is chaotic at the
 trajectory level, so any semantic change produces wildly different
@@ -24,9 +24,11 @@ import statistics
 
 import pytest
 
-from repro.api import ExecutionConfig, run_scenario
+from repro.api import run_scenario
 from repro.shadow.config import ShadowConfig
 from repro.shadow.experiment import compare_systems
+from repro.shadow.simulator import NetworkSimulator
+from tests.oracles.shadow_walk import reference_walk
 
 #: repr() of libm probes on the toolchain that produced the goldens.
 _LIBM_CANARY = {
@@ -97,14 +99,11 @@ def _headline(result) -> dict:
 
 
 @pinned
-@pytest.mark.parametrize("shadow_backend", (None, "stateful"))
-def test_compare_systems_headline_numbers_pinned(shadow_backend):
-    result = compare_systems(
-        ShadowConfig(**_CONFIG),
-        loads=(1.0,),
-        seed=11,
-        shadow_backend=shadow_backend,
-    )
+@pytest.mark.parametrize("walk", ("kernel", "reference"))
+def test_compare_systems_headline_numbers_pinned(walk, monkeypatch):
+    if walk == "reference":
+        monkeypatch.setattr(NetworkSimulator, "run", reference_walk)
+    result = compare_systems(ShadowConfig(**_CONFIG), loads=(1.0,), seed=11)
     headline = _headline(result)
     for key, expected in GOLDEN.items():
         if key.startswith("transfers_"):
@@ -138,16 +137,9 @@ GOLDEN_SCENARIO = {
 
 
 @pinned
-@pytest.mark.parametrize("shadow_backend", (None, "stateful", "vector"))
-def test_shadow_measurement_scenario_pinned(shadow_backend):
-    """The canned scenario's estimates are pinned, and carrying any
-    ``shadow_backend`` through the execution config cannot move them
-    (the measurement phase never consults it)."""
-    report = run_scenario(
-        "shadow-measurement",
-        n_relays=6,
-        execution=ExecutionConfig().with_shadow_backend(shadow_backend),
-    )
+def test_shadow_measurement_scenario_pinned():
+    """The canned scenario's estimates are pinned."""
+    report = run_scenario("shadow-measurement", n_relays=6)
     assert len(report.estimates) == GOLDEN_SCENARIO["n_estimates"]
     assert sum(report.estimates.values()) == pytest.approx(
         GOLDEN_SCENARIO["estimates_sum"], rel=1e-6

@@ -1,12 +1,11 @@
 #!/usr/bin/env python
 """TorFlow vs FlashFlow load balancing in a scaled private network (§7).
 
-Runs the whole Figure 8/9 pipeline at a small scale through the API
-front door (:func:`repro.api.compare_load_balancing`; the FlashFlow
-measurement phase inside it is a scenario-API campaign on the
-vectorized kernel): generate a scaled network, produce weights with
-both systems, compare error metrics, then race benchmark clients under
-each weight set.
+Runs the whole Figure 8/9 pipeline at a small scale through
+:func:`repro.shadow.compare_systems` (its FlashFlow measurement phase
+is a scenario-API campaign on the vectorized kernel): generate a scaled
+network, produce weights with both systems, compare error metrics, then
+race benchmark clients under each weight set.
 
 Run:  python examples/load_balancing_comparison.py
 (takes ~30-60 seconds)
@@ -14,7 +13,7 @@ Run:  python examples/load_balancing_comparison.py
 
 import statistics
 
-from repro.api import compare_load_balancing
+from repro.shadow import compare_systems
 from repro.shadow.config import ShadowConfig
 
 SIZES = {"50 KiB": 50 * 1024, "1 MiB": 1024 * 1024, "5 MiB": 5 * 1024 * 1024}
@@ -32,7 +31,7 @@ def main() -> None:
     print(f"Scaled network: {config.n_relays} relays, "
           f"{config.n_markov_clients} background clients, "
           f"{config.n_benchmark_clients} benchmark clients")
-    result = compare_load_balancing(config, loads=(1.0, 1.3), seed=5)
+    result = compare_systems(config, loads=(1.0, 1.3), seed=5)
 
     print("\n-- Figure 8 analogue: weight accuracy --")
     print(f"  network weight error: "

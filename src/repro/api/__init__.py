@@ -85,7 +85,6 @@ __all__ = [
     "TeamSpec",
     "TimingObserver",
     "UtilizationBackground",
-    "compare_load_balancing",
     "default_execution_for",
     "get_scenario",
     "register_scenario",
@@ -95,24 +94,3 @@ __all__ = [
     "scenario_registry",
 ]
 
-
-def compare_load_balancing(
-    config=None,
-    loads=(1.0, 1.15, 1.30),
-    seed: int = 0,
-    run_performance: bool = True,
-):
-    """The §7 TorFlow-vs-FlashFlow pipeline through the API front door.
-
-    Thin wrapper over :func:`repro.shadow.experiment.compare_systems`,
-    whose measurement phase already runs through a :class:`Campaign`.
-    Returns the :class:`repro.shadow.experiment.ExperimentResult`.
-    """
-    from repro.shadow.experiment import compare_systems
-
-    return compare_systems(
-        config=config,
-        loads=tuple(loads),
-        seed=seed,
-        run_performance=run_performance,
-    )

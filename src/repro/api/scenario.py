@@ -109,10 +109,24 @@ class TeamSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        if not _is_int(self.n_measurers):
+            raise ConfigurationError(
+                f"n_measurers must be an integer, got {self.n_measurers!r}"
+            )
         if self.n_measurers < 1:
-            raise ConfigurationError("a team needs at least one measurer")
-        if self.capacity_each <= 0:
-            raise ConfigurationError("measurer capacity must be positive")
+            raise ConfigurationError(
+                f"n_measurers must be >= 1, got {self.n_measurers!r}"
+            )
+        # A NaN capacity reaches allocation as "team supplies 0 bit/s".
+        if not _is_finite_number(self.capacity_each) or self.capacity_each <= 0:
+            raise ConfigurationError(
+                "capacity_each must be a finite number > 0, got "
+                f"{self.capacity_each!r}"
+            )
+        if self.seed is not None and not _is_int(self.seed):
+            raise ConfigurationError(
+                f"seed must be an integer or None, got {self.seed!r}"
+            )
 
     def build(
         self, params: FlashFlowParams | None, default_seed: int

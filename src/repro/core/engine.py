@@ -46,7 +46,12 @@ from repro.core.allocation import MeasurerAssignment, total_allocated
 from repro.core.measurer import measurer_socket_efficiency
 from repro.core.params import FlashFlowParams
 from repro.core.verification import EchoVerifier
-from repro.errors import MeasurementFailure, VerificationFailure
+from repro.errors import (
+    ConfigurationError,
+    MeasurementFailure,
+    VerificationFailure,
+    _is_finite_number,
+)
 from repro.netsim.latency import NetworkModel, Path, internet_loss_for_rtt
 from repro.netsim.socketbuf import KernelConfig
 from repro.netsim.tcp import tcp_ramp_profile
@@ -78,6 +83,30 @@ class MeasurementNoise:
     target_env_max: float = 1.03
     #: Per-second multiplicative noise on each measurer's supply.
     supply_noise_std: float = 0.03
+
+    def __post_init__(self) -> None:
+        # A NaN std pins every draw at its clamp floor (the env factor at
+        # target_env_min, supply at 0.3) and inverted bounds pin it at
+        # target_env_max: every estimate skews without an error.
+        for name in (
+            "target_env_mean", "target_env_std", "target_env_min",
+            "target_env_max", "supply_noise_std",
+        ):
+            value = getattr(self, name)
+            if not _is_finite_number(value):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
+        for name in ("target_env_std", "supply_noise_std"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
+        if not 0 < self.target_env_min <= self.target_env_max:
+            raise ConfigurationError(
+                "need 0 < target_env_min <= target_env_max, got "
+                f"target_env_min={self.target_env_min!r}, "
+                f"target_env_max={self.target_env_max!r}"
+            )
 
 
 @dataclass
@@ -156,10 +185,9 @@ def assignment_caps(
 
     min(a_i, TCP ramp cap * sockets * quality, link) * socket efficiency
     -- everything about the assignment that does not change with the
-    per-second noise draw. Pure (no RNG, no shared state): the kernel
-    recomputes it from compiled inputs, and
-    :meth:`MeasurementEngine.prepare` uses the same code, so both paths
-    produce bit-identical caps.
+    per-second noise draw. Pure (no RNG, no shared state): the kernel's
+    compile step and :meth:`MeasurementEngine.prepare` both call it, so
+    both paths produce bit-identical caps.
     """
     ramp = tcp_ramp_profile(path, sender_kernel, target_kernel, duration)
     return [
@@ -236,8 +264,8 @@ class _PlanInputs:
     Everything that must be resolved *in order* on the measurement's
     forked RNG stream (environment factor, per-assignment path
     qualities) plus the admission decision -- and nothing that is pure
-    computation. The kernel compiler consumes these directly and defers
-    the heavy pure half (TCP ramp profiles) to the walk.
+    computation. The kernel compiler consumes these directly, draws the
+    supply noise from ``rng`` and computes the cap series itself.
     """
 
     spec: MeasurementSpec
@@ -345,7 +373,7 @@ class MeasurementEngine:
         RNG draws happen in the exact order of the historical serial
         loop's setup phase: environment factor first, then one path
         quality per participating assignment. No pure computation (TCP
-        ramps) happens here -- that is :meth:`finish_plan` (in-process)
+        ramps) happens here -- that is :meth:`finish_plan` (stateful path)
         or the kernel's compile step.
         """
         params = spec.params or self.params or FlashFlowParams()

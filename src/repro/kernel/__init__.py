@@ -4,9 +4,11 @@ This package is the execution layer beneath
 :meth:`repro.core.engine.MeasurementEngine.run_many`:
 
 - :mod:`repro.kernel.compile` lowers a measurement spec plus the
-  engine's prepared inputs into a picklable
-  :class:`~repro.kernel.compile.CompiledMeasurement` -- all RNG draws
-  performed up front in stateful order, everything else pure;
+  engine's prepared inputs into a
+  :class:`~repro.kernel.compile.CompiledMeasurement`: the per-second
+  arrays the walk reads (supply, jitter x environment, background)
+  plus the engine's live circuit key, with every pre-walk RNG draw
+  made in stateful order;
 - :mod:`repro.kernel.supply` executes compiled measurements as
   vectorized numpy array walks, bit-identical to the stateful
   :meth:`Relay.measured_second` path;
@@ -40,7 +42,6 @@ from repro.kernel.analytic import (
 )
 from repro.kernel.backends import KernelBackend, VectorBackend
 from repro.kernel.compile import (
-    CompiledAssignment,
     CompiledMeasurement,
     compile_measurement,
     is_compilable,
@@ -52,7 +53,6 @@ from repro.obs.trace import get_tracer
 __all__ = [
     "AnalyticRoundResult",
     "CompiledAnalyticRound",
-    "CompiledAssignment",
     "CompiledMeasurement",
     "KernelBackend",
     "KernelResult",
@@ -65,47 +65,6 @@ __all__ = [
     "run_analytic_round",
     "run_specs",
 ]
-
-
-def _predraw_noise(engine, specs) -> dict:
-    """Column-wise jitter predraw for the round's compilable specs.
-
-    Returns ``{spec_index: noise_row}`` for every spec whose compile is
-    *guaranteed* to reach the relay's ``draw_noise_series`` call --
-    eligibility mirrors :func:`compile_measurement` exactly (compilable,
-    at least one participating assignment, admission will be granted)
-    and each target may appear only once in the batch, so the predrawn
-    rows replace the stateful draws one for one and every relay RNG
-    stream stays on identical positions.
-    """
-    from repro.tornet.columnar import noise_row
-
-    target_counts: dict[int, int] = {}
-    for spec in specs:
-        key = id(spec.target)
-        target_counts[key] = target_counts.get(key, 0) + 1
-
-    rows: dict[int, object] = {}
-    for index, spec in enumerate(specs):
-        if target_counts[id(spec.target)] != 1:
-            continue
-        if not is_compilable(engine, spec):
-            continue
-        if not any(a.participates for a in spec.assignments):
-            continue
-        target = spec.target
-        if spec.enforce_admission and (
-            (spec.bwauth_id, spec.period_index) in target._measured_in
-        ):
-            continue
-        params = spec.params or engine.params
-        if params is None:
-            from repro.core.params import FlashFlowParams
-
-            params = FlashFlowParams()
-        duration = params.slot_seconds if spec.duration is None else spec.duration
-        rows[index] = noise_row(target, duration)
-    return rows
 
 
 def run_specs(engine, specs: Sequence):
@@ -124,18 +83,10 @@ def run_specs(engine, specs: Sequence):
     results = [None] * len(specs)
     fallback_indices: list[int] = []
 
-    # Bulk compile path: relay jitter for the whole round is pre-drawn
-    # column-wise up front, so the per-spec compile loop skips the
-    # stateful per-relay gauss draws (bit-identical rows, same stream
-    # positions -- see repro.tornet.columnar.noise_row).
-    predrawn = _predraw_noise(engine, specs) if specs else {}
-
     compiled: list[CompiledMeasurement] = []
     with tracer.span("round.compile", n_specs=len(specs)):
         for index, spec in enumerate(specs):
-            cm = compile_measurement(
-                engine, spec, index=index, predrawn_noise=predrawn.get(index)
-            )
+            cm = compile_measurement(engine, spec, index=index)
             if cm is None:
                 fallback_indices.append(index)
             else:

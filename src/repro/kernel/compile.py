@@ -2,30 +2,27 @@
 
 :func:`compile_measurement` turns a :class:`MeasurementSpec` plus the
 engine's prepared inputs (:meth:`MeasurementEngine.prepare_inputs`) into
-a :class:`CompiledMeasurement`: a self-contained, picklable description
-of one honest-relay measurement whose per-second walk needs no Python
-object state at all. Compilation performs **every RNG draw** the
-stateful engine path would perform, in the same order on the same forked
-streams:
+a :class:`CompiledMeasurement`: the arrays one measurement's per-second
+walk reads, plus the engine's live circuit key. Compilation performs
+**every RNG draw** the stateful engine path makes before its walk, in
+the same order on the same forked streams:
 
 1. the environment factor and per-assignment path qualities (inside
    ``prepare_inputs``),
-2. the target relay's per-second jitter draws
+2. the per-second supply-noise draws on the measurement stream, which
+   compile folds with each assignment's cap series into the per-second
+   supply total,
+3. the target relay's per-second jitter draws
    (:meth:`repro.tornet.relay.Relay.draw_noise_series` -- the relay's
    stream is shared across its measurements, so it must advance here).
 
-The engine's per-second *supply-noise* draws are the one exception: the
-measurement stream is forked per spec and nothing else ever reads it, so
-its post-prepare state ships inside the compiled measurement and the
-draws happen when the walk executes -- same stream, same positions,
-bit-identical values.
-
-What remains -- TCP ramp profiles, the capacity/ratio walk, and echo-cell
-verification replay -- is pure computation over the compiled arrays, so
-a whole round walks as one batch with bit-identical results. The
-relay's stateful side effects (token bucket level,
-observed-bandwidth history) are settled back onto the live relay by the
-caller from the walk's results.
+The only draws left to the walk are the echo-cell verification replay's
+(sample counts, and forge decisions for forgers): they depend on the
+walk's own measurement series. Everything else -- the capacity/ratio
+walk -- is pure computation over the compiled arrays, so a whole round
+walks as one batch with bit-identical results. The relay's stateful side
+effects (token bucket level, observed-bandwidth history) are settled
+back onto the live relay by the caller from the walk's results.
 
 Relay behaviours compile through the
 :meth:`repro.tornet.relay.RelayBehavior.kernel_program` protocol: any
@@ -40,7 +37,6 @@ falls back to the stateful :meth:`MeasurementEngine.run` path.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,53 +47,21 @@ from repro.core.engine import (
     MeasurementSpec,
     assignment_caps,
 )
-from repro.netsim.latency import Path
-from repro.netsim.socketbuf import KernelConfig
 from repro.rng import seed_from
+from repro.tornet.columnar import noise_row
 from repro.tornet.relay import HONEST_PROGRAM, BehaviorProgram
-
-
-@dataclass(frozen=True)
-class CompiledAssignment:
-    """Picklable pure inputs for one assignment's supply-cap series."""
-
-    path: Path
-    sender_kernel: KernelConfig
-    allocated: float
-    link_capacity: float
-    quality: float
-
-    def caps(
-        self,
-        target_kernel: KernelConfig,
-        duration: int,
-        socket_share: int,
-        efficiency: float,
-    ) -> list[float]:
-        """The effective per-second cap series (deferred heavy half)."""
-        return assignment_caps(
-            self.path,
-            self.sender_kernel,
-            target_kernel,
-            duration,
-            self.allocated,
-            self.link_capacity,
-            socket_share,
-            self.quality,
-            efficiency,
-        )
+from repro.tornet.relaycrypto import CircuitKey
 
 
 @dataclass
 class CompiledMeasurement:
-    """One measurement, lowered to arrays plus pure picklable inputs.
+    """One measurement, lowered to the arrays its walk reads.
 
-    The measurement RNG state (for the supply-noise draws), ``noise_env``
+    ``supply`` (what the measurers push each second), ``noise_env``
     (relay jitter x environment factor), ``background`` and the
-    token-bucket snapshot fully determine the behaviour-program walk; the
-    assignment cap series is recomputed from :class:`CompiledAssignment`
-    wherever the measurement executes (cheap, pure, and keeps the
-    pickled payload small).
+    token-bucket snapshot fully determine the behaviour-program walk;
+    ``key`` and the two verify seeds drive the echo-cell replay that
+    follows it.
     """
 
     index: int
@@ -105,16 +69,10 @@ class CompiledMeasurement:
     duration: int
     #: Normal-traffic ratio r for this measurement's params.
     ratio: float
-    socket_share: int
-    efficiency: float
-    target_kernel: KernelConfig
-    assignments: list[CompiledAssignment]
-    #: ``random.Random`` state of the measurement stream right after
-    #: prepare -- exactly where the stateful path starts its per-second
-    #: supply-noise draws.
-    rng_state: tuple
-    #: Std-dev of the per-second supply noise.
-    supply_noise_std: float
+    #: Measurement supply per second (bit/s), shape [duration]: each
+    #: assignment's cap times its supply-noise draw, summed in assignment
+    #: order exactly like the engine's ``supply_total``.
+    supply: np.ndarray
     #: Pre-bucket forwarding capacity: min(CPU, schedulers, link), bit/s.
     base_capacity: float
     #: Relay jitter draw x environment factor, shape [duration].
@@ -131,8 +89,10 @@ class CompiledMeasurement:
     #: Seed of the ``verify-payload-*`` stream the sampled-cell payloads
     #: are drawn from (the stateful verifier's ``payload_rng`` fork).
     payload_seed: int
-    #: Shared circuit key bytes for the verification replay.
-    key_bytes: bytes | None
+    #: The engine's shared circuit key for the verification replay (its
+    #: keystream cache stays warm across the engine's measurements);
+    #: None when verification is off.
+    key: CircuitKey | None
     #: Early result (admission refusal); skips execution entirely.
     outcome: MeasurementOutcome | None = None
     #: The behaviour's closed-form walk (honest defaults for honest
@@ -143,56 +103,6 @@ class CompiledMeasurement:
     #: a copy and the caller settles it back via
     #: :meth:`RelayBehavior.settle_verify_replay`.
     behavior_rng_state: tuple | None = None
-
-    def caps_arrays(self) -> list[np.ndarray]:
-        """Per-assignment effective cap series as float64 arrays."""
-        return [
-            np.asarray(
-                a.caps(
-                    self.target_kernel,
-                    self.duration,
-                    self.socket_share,
-                    self.efficiency,
-                ),
-                dtype=np.float64,
-            )
-            for a in self.assignments
-        ]
-
-    def supply_noise(self) -> np.ndarray:
-        """Per-second supply noise draws, shape [n_assignments, duration].
-
-        Resumes the measurement stream from its compiled state and draws
-        in the stateful loop's order (second-major, assignment-minor):
-        same stream, same positions, bit-identical values.
-        """
-        rng = random.Random()
-        rng.setstate(self.rng_state)
-        gauss = rng.gauss
-        noise_std = self.supply_noise_std
-        n = len(self.assignments)
-        count = self.duration * n
-        return (
-            np.fromiter(
-                (max(0.3, gauss(1.0, noise_std)) for _ in range(count)),
-                dtype=np.float64,
-                count=count,
-            )
-            .reshape(self.duration, n)
-            .T
-        )
-
-    def supply_series(self) -> np.ndarray:
-        """Total measurement supply per second (bit/s), shape [duration].
-
-        Accumulates assignment contributions in assignment order --
-        exactly the stateful loop's left-to-right summation -- so each
-        element is bit-identical to the engine's ``supply_total``.
-        """
-        supply = np.zeros(self.duration, dtype=np.float64)
-        for row, caps in zip(self.supply_noise(), self.caps_arrays()):
-            supply += caps * row
-        return supply
 
 
 def is_compilable(engine: MeasurementEngine, spec: MeasurementSpec) -> bool:
@@ -219,19 +129,12 @@ def compile_measurement(
     engine: MeasurementEngine,
     spec: MeasurementSpec,
     index: int = 0,
-    predrawn_noise: np.ndarray | None = None,
 ) -> CompiledMeasurement | None:
     """Lower ``spec`` to a :class:`CompiledMeasurement`, or ``None``.
 
     Must be called in the same relative order as the stateful path would
-    have run the spec's prepare phase: it consumes the measurement RNG
-    stream, the relay's jitter stream, and the relay's admission state.
-
-    ``predrawn_noise`` is a column-wise jitter row from
-    :func:`repro.tornet.columnar.noise_row` (see ``run_specs``'s bulk
-    predraw): when given, the relay's stateful ``draw_noise_series``
-    call is skipped and the consumed draws are recorded on the relay as
-    a pending skip, keeping its RNG stream position identical.
+    have run the spec: it consumes the measurement RNG stream, the
+    relay's jitter stream, and the relay's admission state.
     """
     if not is_compilable(engine, spec):
         return None
@@ -245,12 +148,7 @@ def compile_measurement(
             fingerprint=target.fingerprint,
             duration=duration,
             ratio=params.ratio,
-            socket_share=inputs.socket_share,
-            efficiency=inputs.efficiency,
-            target_kernel=inputs.target_kernel,
-            assignments=[],
-            rng_state=(),
-            supply_noise_std=0.0,
+            supply=np.zeros(duration),
             base_capacity=0.0,
             noise_env=np.zeros(duration),
             bucket=None,
@@ -259,40 +157,40 @@ def compile_measurement(
             p_check=None,
             verify_seed=0,
             payload_seed=0,
-            key_bytes=None,
+            key=None,
             outcome=inputs.outcome,
         )
 
-    assignments = [
-        CompiledAssignment(
-            path=path,
-            sender_kernel=a.measurer.host.kernel,
-            allocated=a.allocated,
-            link_capacity=a.measurer.host.link_capacity,
-            quality=quality,
+    # Engine supply noise, drawn where MeasurementEngine.execute draws
+    # it: straight after prepare on the measurement stream, second-major
+    # and assignment-minor, then summed per second in assignment order.
+    entries = inputs.entries
+    n_draws = duration * len(entries)
+    gauss, noise_std = inputs.rng.gauss, inputs.noise.supply_noise_std
+    draws = np.fromiter(
+        (max(0.3, gauss(1.0, noise_std)) for _ in range(n_draws)),
+        dtype=np.float64,
+        count=n_draws,
+    ).reshape(duration, len(entries))
+    supply = np.zeros(duration)
+    for column, (a, path, quality) in enumerate(entries):
+        caps = assignment_caps(
+            path,
+            a.measurer.host.kernel,
+            inputs.target_kernel,
+            duration,
+            a.allocated,
+            a.measurer.host.link_capacity,
+            inputs.socket_share,
+            quality,
+            inputs.efficiency,
         )
-        for a, path, quality in inputs.entries
-    ]
+        supply += np.asarray(caps, dtype=np.float64) * draws[:, column]
 
-    # Engine supply-noise draws happen wherever the walk executes: the
-    # measurement stream is private to this spec, so shipping its
-    # post-prepare state preserves the draw positions exactly.
-    rng_state = inputs.rng.getstate()
-
-    # Relay-side jitter: pre-drawn from the relay's own stream, folded
-    # with the environment factor exactly as measured_second does
-    # (noise * external_factor, then capacity *= that product).
-    env = inputs.env
-    if predrawn_noise is not None:
-        assert predrawn_noise.shape[0] == duration
-        target._noise_skip += duration
-        noise_env = predrawn_noise * env
-    else:
-        noise_env = np.fromiter(
-            (draw * env for draw in target.draw_noise_series(duration)),
-            dtype=np.float64,
-            count=duration,
-        )
+    # Relay-side jitter from the relay's own stream, folded with the
+    # environment factor exactly as measured_second does (noise *
+    # external_factor, then capacity *= that product).
+    noise_env = noise_row(target, duration) * inputs.env
 
     base_capacity = target.forwarding_capacity(
         n_measurement_sockets=params.n_sockets,
@@ -311,15 +209,15 @@ def compile_measurement(
 
     if spec.verify:
         p_check: float | None = params.p_check
-        key_bytes = engine._verifier_key().key_bytes
+        key = engine._verifier_key()
     else:
         p_check = None
-        key_bytes = None
+        key = None
 
     # The behaviour's closed-form walk; fetched after prepare_inputs so
     # slot-constant decisions (begin_measurement's selective roll) have
-    # already landed in base_capacity. Forgers also ship their RNG state:
-    # the verification replay consumes forge decisions from a copy.
+    # already landed in base_capacity. Forgers also hand over their RNG
+    # state: the verification replay consumes forge decisions from a copy.
     program = target.behavior.kernel_program()
     behavior_rng_state = (
         target.behavior._rng.getstate()
@@ -332,12 +230,7 @@ def compile_measurement(
         fingerprint=target.fingerprint,
         duration=duration,
         ratio=params.ratio,
-        socket_share=inputs.socket_share,
-        efficiency=inputs.efficiency,
-        target_kernel=inputs.target_kernel,
-        assignments=assignments,
-        rng_state=rng_state,
-        supply_noise_std=inputs.noise.supply_noise_std,
+        supply=supply,
         base_capacity=base_capacity,
         noise_env=noise_env,
         bucket=bucket,
@@ -348,7 +241,7 @@ def compile_measurement(
         payload_seed=seed_from(
             spec.seed, f"verify-payload-{target.fingerprint}"
         ),
-        key_bytes=key_bytes,
+        key=key,
         program=program,
         behavior_rng_state=behavior_rng_state,
     )

@@ -9,6 +9,9 @@ measurements at once. Every operation mirrors the exact arithmetic of
 :meth:`repro.tornet.relay.Relay.measured_second` +
 :meth:`repro.core.engine.MeasurementEngine.execute`, in the same order,
 so each element of the walk is bit-identical to the stateful path.
+Every input arrives as a compiled array (the measurers' per-second
+supply, jitter x environment, background demand), so the walk itself
+draws no randomness outside the verification replay below.
 
 Adversarial behaviours compiled through
 :class:`repro.tornet.relay.BehaviorProgram` run in the same walk as
@@ -22,9 +25,10 @@ Echo-cell verification is replayed afterwards from the walk's
 measurement series: the per-second sample counts consume the
 measurement's ``verify-*`` RNG stream exactly as
 :class:`repro.core.verification.EchoVerifier` would, and each sampled
-cell performs the honest encrypt/echo/compare round trip with the real
-circuit key, so ``cells_checked`` (and the simulated crypto work) match
-the stateful path. Honest relays by construction never fail the check;
+cell performs the honest encrypt/echo/compare round trip with the
+engine's own circuit key (compiled in as ``CompiledMeasurement.key``),
+so ``cells_checked`` (and the simulated crypto work) match the stateful
+path. Honest relays by construction never fail the check;
 forging relays replay their forge decisions from the behaviour's
 compiled RNG state, and the first forged checked cell fails the
 measurement exactly as the stateful :class:`EchoVerifier` would
@@ -49,25 +53,8 @@ from repro.core.engine import MeasurementOutcome
 from repro.core.verification import sample_cell_count
 from repro.kernel.compile import CompiledMeasurement
 from repro.tornet.cell import PAYLOAD_LEN
-from repro.tornet.relaycrypto import CircuitKey
 from repro.tornet.tokenbucket import available_second_array, take_second_array
 from repro.units import CELL_LEN, bits_to_bytes
-
-#: One CircuitKey per distinct key bytes per process: keeps the keystream
-#: block cache warm across measurements (cell indices restart at zero
-#: every slot, so later slots verify almost entirely from cache).
-_KEY_CACHE: dict[bytes, CircuitKey] = {}
-
-
-def _circuit_key(key_bytes: bytes) -> CircuitKey:
-    key = _KEY_CACHE.get(key_bytes)
-    if key is None:
-        key = CircuitKey(key_bytes)
-        if len(_KEY_CACHE) > 64:
-            _KEY_CACHE.clear()
-        _KEY_CACHE[key_bytes] = key
-    return key
-
 
 _EMPTY = np.zeros(0)
 
@@ -169,7 +156,7 @@ def _verify_replay(
         return _ReplayResult()
     rng = random.Random(cm.verify_seed)
     payload_rng = random.Random(cm.payload_seed)
-    key = _circuit_key(cm.key_bytes)
+    key = cm.key
     forge_fraction = cm.program.forge_fraction
     behavior_rng: random.Random | None = None
     if forge_fraction is not None and cm.behavior_rng_state is not None:
@@ -212,7 +199,7 @@ def _walk_group(
 ) -> list[KernelResult]:
     """Walk same-duration measurements as one vectorized array walk."""
     n = len(cms)
-    supply = np.stack([cm.supply_series() for cm in cms])
+    supply = np.stack([cm.supply for cm in cms])
     bg_demand = np.stack([cm.background for cm in cms])
     noise_env = np.stack([cm.noise_env for cm in cms])
     base = np.array([cm.base_capacity for cm in cms], dtype=np.float64)

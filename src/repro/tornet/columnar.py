@@ -27,23 +27,20 @@ Two things make Tor-scale (10^5--10^6 relays) networks practical:
   interpolation expression), falling back to the object path whenever
   relays were added or replaced.
 
-:func:`bulk_noise_rows` is the kernel's column-wise jitter predraw
-(tentpole part 2): it reproduces ``Relay.draw_noise_series`` for many
-relays without touching their CPython RNGs, recording the consumed draws
-as a pending skip that the relay's lazy ``_rng`` property replays if the
-stateful stream is ever needed again.
+Per-second jitter is not columnar: each relay draws it from its own
+CPython stream (:meth:`Relay.draw_noise_series`), wrapped as an array by
+:func:`noise_row`.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Iterator, MutableMapping
 
 import numpy as np
 
-from repro.rng import fork, seed_from
+from repro.rng import fork
 from repro.tornet.network import (
     _MIN_CAPACITY,
     JULY_2019_MAX_CAPACITY,
@@ -87,21 +84,6 @@ def transplant_state(rand_state) -> np.random.RandomState:
          rand_state[1][-1])
     )
     return rs
-
-
-def _randomstate_for_seed(seed: int) -> np.random.RandomState:
-    """A ``RandomState`` matching ``random.Random(seed)``'s stream.
-
-    CPython seeds MT19937 via ``init_by_array`` over the seed's 32-bit
-    little-endian words; numpy does the same for an array key, and the
-    resulting states are identical for multi-word keys.  Single-word
-    keys (seed < 2**32 -- essentially never produced by ``seed_from``'s
-    64-bit hashes) differ, so those transplant the state instead.
-    """
-    if 2**32 <= seed < 2**64:
-        key = np.array([seed & 0xFFFFFFFF, seed >> 32], dtype=np.uint32)
-        return np.random.RandomState(key)
-    return transplant_state(random.Random(seed).getstate())
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +385,7 @@ class ColumnarTorNetwork(TorNetwork):
 
 
 # ----------------------------------------------------------------------
-# Vectorized synthesis (tentpole part 1)
+# Vectorized synthesis
 # ----------------------------------------------------------------------
 
 
@@ -476,102 +458,17 @@ def synthesize_columns(
 
 
 # ----------------------------------------------------------------------
-# Column-wise jitter predraw (tentpole part 2)
+# Relay jitter rows
 # ----------------------------------------------------------------------
 
 
-def _gauss_stream(relay: Relay) -> tuple[np.random.RandomState, float | None]:
-    """(uniform stream, pending gauss value) at the relay's position.
-
-    Reconstructs where ``relay._rng.gauss`` would draw next -- including
-    draws recorded as a pending ``_noise_skip`` by earlier bulk rounds
-    -- without instantiating or advancing the CPython RNG.
-    """
-    if relay._lazy_rng is not None:
-        state = relay._lazy_rng.getstate()
-        rs = transplant_state(state)
-        pending = state[2]
-    else:
-        rs = _randomstate_for_seed(
-            seed_from(relay.seed, f"relay-{relay.fingerprint}")
-        )
-        pending = None
-    skip = relay._noise_skip
-    if skip:
-        if pending is not None:
-            skip -= 1
-            pending = None
-        if skip:
-            n_pairs = (skip + 1) // 2
-            u = rs.random_sample(2 * n_pairs)
-            if skip % 2:
-                x2pi = float(u[-2]) * _TWOPI
-                g2rad = math.sqrt(-2.0 * math.log(1.0 - float(u[-1])))
-                pending = math.sin(x2pi) * g2rad
-    return rs, pending
-
-
-#: Row length above which the numpy pair loop beats a CPython mirror
-#: (transplanting a RandomState costs ~100 gauss draws' worth of setup).
-_MIRROR_THRESHOLD = 192
-
-
-def _mirror_row(relay: Relay, n: int) -> np.ndarray:
-    """Slot-scale ``noise_row``: draw from a throwaway CPython mirror.
-
-    A copy of the relay's ``random.Random`` (state transplant preserves
-    the cached ``gauss_next``) replays any pending skip and then runs
-    draw_noise_series' own loop -- bit-identical by construction, and
-    for slot-length rows much cheaper than numpy RandomState setup.
-    """
-    if relay._lazy_rng is not None:
-        rng = random.Random()
-        rng.setstate(relay._lazy_rng.getstate())
-    else:
-        rng = fork(relay.seed, f"relay-{relay.fingerprint}")
-    gauss, jitter = rng.gauss, relay.jitter
-    for _ in range(relay._noise_skip):
-        gauss(1.0, jitter)
-    return np.fromiter(
-        (max(0.5, gauss(1.0, jitter)) for _ in range(n)),
-        dtype=np.float64,
-        count=n,
-    )
-
-
 def noise_row(relay: Relay, n: int) -> np.ndarray:
-    """``Relay.draw_noise_series(n)`` without touching the relay's RNG.
+    """``relay.draw_noise_series(n)`` as a float64 array.
 
-    Bit-identical values; the caller is responsible for recording the
-    consumed draws via ``relay._noise_skip += n`` once the row is
-    actually used in place of the stateful draw.
+    Advances the relay's jitter stream by ``n`` draws, exactly like the
+    call it wraps. :func:`repro.kernel.compile.compile_measurement` draws
+    every compiled measurement's jitter through here, and the benchmark's
+    layer table (``bench/layers.py``) imports it from this module as its
+    ``tornet.predraw`` row.
     """
-    if n + relay._noise_skip < _MIRROR_THRESHOLD:
-        return _mirror_row(relay, n)
-    rs, pending = _gauss_stream(relay)
-    jitter = relay.jitter
-    out = [0.0] * n
-    k = 0
-    if pending is not None and n > 0:
-        out[0] = max(0.5, 1.0 + pending * jitter)
-        k = 1
-    remaining = n - k
-    if remaining > 0:
-        u = rs.random_sample(2 * ((remaining + 1) // 2)).tolist()
-        sqrt_, log_, cos_, sin_ = math.sqrt, math.log, math.cos, math.sin
-        j = 0
-        while k < n:
-            x2pi = u[j] * _TWOPI
-            g2rad = sqrt_(-2.0 * log_(1.0 - u[j + 1]))
-            j += 2
-            out[k] = max(0.5, 1.0 + (cos_(x2pi) * g2rad) * jitter)
-            k += 1
-            if k < n:
-                out[k] = max(0.5, 1.0 + (sin_(x2pi) * g2rad) * jitter)
-                k += 1
-    return np.array(out, dtype=np.float64)
-
-
-def bulk_noise_rows(requests: list[tuple[Relay, int]]) -> list[np.ndarray]:
-    """Pre-draw jitter rows for many (relay, n) pairs column-wise."""
-    return [noise_row(relay, n) for relay, n in requests]
+    return np.array(relay.draw_noise_series(n), dtype=np.float64)

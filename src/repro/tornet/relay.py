@@ -135,7 +135,7 @@ class RelayBehavior:
         The kernel replays echo-cell forgery decisions on a copy of the
         behaviour's RNG; this hook writes back the advanced RNG state and
         the forged-cell count so subsequent stateful use is bit-identical
-        to having run the slot in-process.
+        to having run the slot on the stateful path.
         """
 
 
@@ -181,13 +181,10 @@ class Relay:
         self._bucket: TokenBucket | None = None
         if self.rate_limit is not None:
             self._bucket = TokenBucket(rate=self.rate_limit / 8.0)
-        # Forked lazily on first draw: campaign-scale networks create tens
-        # of thousands of relays, most never measured in a given bench.
+        # Forked on first use of ``_rng``: campaign-scale networks create
+        # tens of thousands of relays, most never measured in a given run,
+        # and each fork seeds a fresh ``random.Random``.
         self._lazy_rng: random.Random | None = None
-        #: Noise draws consumed column-wise (repro.tornet.columnar) but
-        #: not yet replayed on the CPython stream; resolved on first
-        #: stateful access so both paths stay on identical positions.
-        self._noise_skip = 0
         #: (bwauth_id, period_index) pairs already measured; the relay only
         #: accepts one measurement per BWAuth per period (paper §4.1).
         self._measured_in: set[tuple[str, int]] = set()
@@ -196,11 +193,6 @@ class Relay:
     def _rng(self) -> random.Random:
         if self._lazy_rng is None:
             self._lazy_rng = fork(self.seed, f"relay-{self.fingerprint}")
-        if self._noise_skip:
-            skip, self._noise_skip = self._noise_skip, 0
-            gauss, jitter = self._lazy_rng.gauss, self.jitter
-            for _ in range(skip):
-                gauss(1.0, jitter)
         return self._lazy_rng
 
     # ------------------------------------------------------------------
@@ -348,10 +340,10 @@ class Relay:
     ) -> None:
         """Apply the state effects of an externally executed walk.
 
-        The kernel runs the per-second measurement walk outside the relay
-        (possibly in another process); this settles the side effects the
-        stateful walk would have had: observed-bandwidth history and the
-        token bucket's final fill level.
+        The kernel runs the per-second measurement walk over compiled
+        arrays and never touches the relay; this settles the side effects
+        the stateful walk would have had: observed-bandwidth history and
+        the token bucket's final fill level.
         """
         if self._bucket is not None and final_bucket_tokens is not None:
             self._bucket.tokens = final_bucket_tokens

@@ -88,11 +88,6 @@ class CircuitKey:
         # rarely hit).
         self._span_cache: dict[tuple[int, int], bytes] = {}
 
-    @property
-    def key_bytes(self) -> bytes:
-        """The 32-byte symmetric key (for rebuilding the key elsewhere)."""
-        return self._key
-
     def _generate_keystream(self, counter: int, length: int) -> bytes:
         blocks = []
         needed = length

@@ -206,13 +206,31 @@ def test_every_registered_scenario_matches_stateful_reference(
     execution = default_execution_for(name)
     with monkeypatch.context() as patch:
         use_stateful_reference(patch)
-        reference = Campaign(get_scenario(name, **overrides), execution).run()
-    report = Campaign(get_scenario(name, **overrides), execution).run()
+        reference_campaign = Campaign(get_scenario(name, **overrides), execution)
+        reference = reference_campaign.run()
+    campaign = Campaign(get_scenario(name, **overrides), execution)
+    report = campaign.run()
     assert reference.estimates, name
     assert report.estimates == reference.estimates, name
     assert report.failures == reference.failures, name
     assert report.slots_elapsed == reference.slots_elapsed, name
     assert report.measurements_run == reference.measurements_run, name
+    # Every relay ends in the same state: jitter stream position, bucket
+    # fill, observed-bandwidth history and admission ledger.
+    reference_network = reference_campaign.resolved.network
+    network = campaign.resolved.network
+    assert list(network.relays) == list(reference_network.relays), name
+    for fp in network.relays:
+        relay, expected = network[fp], reference_network[fp]
+        assert relay._rng.getstate() == expected._rng.getstate(), (name, fp)
+        if expected.bucket is None:
+            assert relay.bucket is None, (name, fp)
+        else:
+            assert relay.bucket.tokens == expected.bucket.tokens, (name, fp)
+        assert vars(relay.observed_bw) == vars(expected.observed_bw), (name, fp)
+        assert sorted(relay._measured_in) == sorted(expected._measured_in), (
+            name, fp,
+        )
 
 
 def test_tor_scale_pack_matches_reference():

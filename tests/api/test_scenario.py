@@ -166,6 +166,30 @@ def test_execution_config_accepts_boundary_values():
     assert ExecutionConfig(analytic_error_std=0.5).analytic_error_std == 0.5
 
 
+@pytest.mark.parametrize("field,value", [
+    # A fractional count raised TypeError from quick_team, a string one
+    # TypeError from the range check, and True ran one measurer.
+    ("n_measurers", 2.5),
+    ("n_measurers", "3"),
+    ("n_measurers", True),
+    # NaN failed the campaign as "team supplies 0 bit/s"; inf ran.
+    ("capacity_each", float("nan")),
+    ("capacity_each", float("inf")),
+    ("capacity_each", "1e9"),
+    ("seed", "x"),
+    ("seed", 1.5),
+    ("seed", True),
+])
+def test_team_spec_rejects_malformed_fields_naming_them(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        TeamSpec(**{field: value})
+
+
+def test_team_spec_accepts_boundary_values():
+    spec = TeamSpec(n_measurers=1, capacity_each=1_000_000_000, seed=0)
+    assert len(spec.build(params=None, default_seed=3).team) == 1
+
+
 # ---------------------------------------------------------------------------
 # Resolution
 # ---------------------------------------------------------------------------

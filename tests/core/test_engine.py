@@ -25,10 +25,12 @@ from repro.core.netmeasure import measure_network
 from repro.core.params import FlashFlowParams
 from repro.core.session import MeasurementSession
 from repro.core.verification import EchoVerifier
+from repro.errors import ConfigurationError
 from repro.netsim.latency import NetworkModel, Path, internet_loss_for_rtt
 from repro.netsim.socketbuf import KernelConfig
 from repro.netsim.tcp import tcp_ramp_profile, tcp_rate_cap
 from repro.rng import fork
+from repro.shadow.experiment import SHADOW_MEASUREMENT_NOISE
 from repro.tornet.network import synthesize_network
 from repro.tornet.relay import Relay
 from repro.units import bits_to_bytes, mbit
@@ -323,3 +325,34 @@ def test_session_refusal_short_circuits_engine():
     assert outcome.failed
     assert "already measured" in outcome.failure_reason
     session.verify_transcript()
+
+
+@pytest.mark.parametrize("field,kwargs", [
+    # On fig06-accuracy (seed 3) these moved the median estimate/truth
+    # from 0.954 to 0.820 (every supply draw pinned at the 0.3 floor),
+    # 0.811 (every env factor at target_env_min) and 0.477 (inverted
+    # bounds pin it at target_env_max), without an error.
+    ("supply_noise_std", {"supply_noise_std": float("nan")}),
+    ("target_env_std", {"target_env_std": float("nan")}),
+    ("target_env_min", {"target_env_min": 2.0, "target_env_max": 0.5}),
+    ("supply_noise_std", {"supply_noise_std": -0.5}),
+    ("target_env_std", {"target_env_std": -0.01}),
+    ("target_env_mean", {"target_env_mean": float("inf")}),
+    ("target_env_max", {"target_env_max": float("nan")}),
+    ("target_env_min", {"target_env_min": 0.0}),
+    ("target_env_min", {"target_env_min": True}),
+    ("supply_noise_std", {"supply_noise_std": "0.03"}),
+])
+def test_measurement_noise_rejects_values_that_skew_estimates(field, kwargs):
+    with pytest.raises(ConfigurationError, match=field):
+        MeasurementNoise(**kwargs)
+
+
+def test_measurement_noise_accepts_boundary_values():
+    MeasurementNoise()
+    assert SHADOW_MEASUREMENT_NOISE.target_env_min == 0.60
+    noise = MeasurementNoise(
+        target_env_mean=1, target_env_std=0, target_env_min=0.9,
+        target_env_max=0.9, supply_noise_std=0.0,
+    )
+    assert noise.target_env_min == noise.target_env_max

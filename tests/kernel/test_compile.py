@@ -111,7 +111,7 @@ def test_compiled_capacity_series_matches_measured_second_oracle(team):
         params = spec_kernel.params
         engine = MeasurementEngine()
         cm = compile_measurement(engine, spec_kernel)
-        supply = cm.supply_series()
+        supply = cm.supply
         result = execute_compiled(cm)
 
         plan_inputs = engine.prepare_inputs(spec_ref)
@@ -302,22 +302,29 @@ def test_run_many_mixed_honest_and_adversarial_matches_stateful(team):
         == [o.per_second_total for o in stateful]
 
 
-def test_supply_noise_resumes_the_measurement_stream(team):
-    """The shipped RNG state replays the engine's draw positions."""
-    params = FlashFlowParams()
-    spec = _spec(_relay(16, 200), team, params, seed=77)
-    engine = MeasurementEngine()
-    cm = compile_measurement(engine, spec)
-    n_active = len(cm.assignments)
-    # Reference: re-fork the stream and burn the prepare-phase draws.
-    rng = fork(77, "measurement-bwauth0-r-0")
-    rng.gauss(0, 1)  # env draw position
-    for _ in range(n_active):
-        rng.gauss(0, 1)  # quality draw positions
-    # The state must produce duration * n draws with the engine's clamp.
-    noise = cm.supply_noise()
-    assert noise.shape == (n_active, cm.duration)
-    assert float(noise[0, 0]) >= 0.3
+def test_compiled_supply_matches_engine_supply_total(team):
+    """``cm.supply`` is the stateful walk's per-second ``supply_total``.
+
+    Rebuilt from a prepared twin: the measurement stream's draws follow
+    prepare, second-major and assignment-minor, each times its
+    assignment's cap, summed per second in assignment order.
+    """
+    n_assignments = set()
+    for config in CONFIGS:
+        spec_twin, spec_kernel = _config_specs(team, *config)
+        cm = compile_measurement(MeasurementEngine(), spec_kernel)
+        plan = MeasurementEngine().prepare(spec_twin)
+        n_assignments.add(len(plan.profiles))
+        gauss, std = plan.rng.gauss, plan.noise.supply_noise_std
+        expected = []
+        for second in range(plan.duration):
+            supply_total = 0.0
+            for profile in plan.profiles:
+                supply_total += profile.caps[second] * max(0.3, gauss(1.0, std))
+            expected.append(supply_total)
+        assert cm.supply.tolist() == expected
+    # The draw order only shows with several assignments per second.
+    assert max(n_assignments) > 1
 
 
 def test_verify_payload_stream_matches_stateful_verifier(team):

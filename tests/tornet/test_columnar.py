@@ -7,6 +7,7 @@ same RNG streams, same aggregates -- exact ``==``, no tolerances.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -193,27 +194,22 @@ def test_percentile_boundaries_pinned():
         assert net.percentile_capacity(100) == caps[-1]
 
 
-def test_noise_row_matches_and_replays_skip():
-    """The column-wise jitter predraw reproduces draw_noise_series and
-    leaves the relay's stateful stream on the identical position."""
+def test_noise_row_matches_draw_noise_series():
+    """``noise_row`` on a columnar view is an object relay's
+    ``draw_noise_series`` as a float64 array, and both relays' streams
+    continue identically afterwards."""
     ref = _object_network(3, 55)
     col = _columnar_network(3, 55)
     fp = list(ref.relays)[1]
 
-    # Fresh relay: predrawn row == stateful draws, bit for bit.
     row = noise_row(col[fp], 7)
+    assert row.dtype == np.float64
     assert row.tolist() == ref[fp].draw_noise_series(7)
-    col[fp]._noise_skip += 7  # what compile_measurement records
 
-    # After the skip replays, both streams continue identically --
-    # including across an odd draw count (cached gauss_next).
+    # An odd draw count leaves a cached gauss value; it must carry over.
     assert col[fp].draw_noise_series(5) == ref[fp].draw_noise_series(5)
-
-    # Chained predraws keep matching without touching the CPython RNG.
-    row2 = noise_row(col[fp], 4)
-    assert row2.tolist() == ref[fp].draw_noise_series(4)
-    col[fp]._noise_skip += 4
-    assert col[fp].draw_noise_series(3) == ref[fp].draw_noise_series(3)
+    assert noise_row(col[fp], 4).tolist() == ref[fp].draw_noise_series(4)
+    assert col[fp]._rng.getstate() == ref[fp]._rng.getstate()
 
 
 def test_materialization_scales():

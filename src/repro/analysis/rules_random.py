@@ -3,10 +3,13 @@
 **Invariant.** Every stochastic draw comes from a ``random.Random`` /
 numpy generator derived from an explicit seed via :mod:`repro.rng`
 (``seed_from``/``fork``/``fork_numpy``). Ambient entropy --
-``os.urandom``, the ``random`` module's *module-level* functions (which
-draw from the shared, unseeded global instance), ``random.SystemRandom``,
-and ``np.random``'s legacy global functions -- makes same-seed runs
-diverge and is forbidden everywhere in library code. Seeded
+``os.urandom``, every ``secrets.*`` call, the ``random`` module's
+*module-level* functions (which draw from the shared, unseeded global
+instance), ``random.SystemRandom``, and ``np.random``'s legacy global
+functions -- makes same-seed runs diverge and is forbidden everywhere in
+library code. Key material is the one sound exception: a predictable
+private key, DH exponent or Schnorr nonce gives the key away, so those
+draws stay on OS entropy under a suppression that says so. Seeded
 *constructors* (``random.Random(seed)``, ``np.random.default_rng``,
 ``np.random.RandomState``...) are exactly the sanctioned path and stay
 allowed.
@@ -36,7 +39,7 @@ RANDOM_ALLOWED = frozenset({"Random"})
 
 @register_rule("FF003", "ambient-randomness")
 def check_ambient_randomness(ctx: LintContext) -> Iterator[Finding]:
-    """``os.urandom`` / global ``random.*`` / ``np.random.*`` draws."""
+    """``os.urandom`` / ``secrets.*`` / global ``random.*`` / ``np.random.*`` draws."""
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -49,6 +52,13 @@ def check_ambient_randomness(ctx: LintContext) -> Iterator[Finding]:
                 "`os.urandom` in library code: ambient entropy breaks "
                 "same-seed reproducibility; draw from a seeded RNG "
                 "(`repro.rng.fork`) or take the caller's stream",
+            )
+        elif resolved.startswith("secrets."):
+            yield ctx.finding(
+                node, "FF003",
+                f"`{resolved}` draws OS entropy: same-seed runs diverge; "
+                "draw from a seeded RNG (`repro.rng.fork`) unless this is "
+                "key material that must stay unpredictable",
             )
         elif resolved == "random.SystemRandom":
             yield ctx.finding(

@@ -29,7 +29,6 @@ from repro.core.engine import (
     MeasurementSpec,
 )
 from repro.core.measurer import Measurer
-from repro.core.messages import SigningIdentity
 from repro.core.params import FlashFlowParams
 from repro.errors import AllocationError, MeasurementFailure
 from repro.netsim.iperf import iperf_many_to_one
@@ -80,7 +79,6 @@ class FlashFlowAuthority:
         self.params = params or FlashFlowParams()
         self.network = network
         self.seed = seed
-        self.identity = SigningIdentity(name)
         #: fingerprint -> last accepted capacity estimate (bit/s).
         self.estimates: dict[str, float] = {}
         #: The execution engine all of this authority's measurements --

@@ -28,8 +28,9 @@ sessions, and batches that share a target relay.
 
 The engine also hosts the **analytic fast path**
 (:meth:`MeasurementEngine.analytic_estimate`) used by campaign code that
-only cares about slot accounting, and shares one Diffie-Hellman circuit
-key across verifiers (the handshake is pure simulation overhead --
+only cares about slot accounting. Every verified measurement in the
+process shares one Diffie-Hellman circuit key, established by a single
+handshake on first use (the handshake is pure simulation overhead --
 estimates and forgery detection are independent of the key bits; pass
 ``reuse_circuit_keys=False`` to recover a fresh handshake per slot).
 """
@@ -318,13 +319,30 @@ class _Plan:
     outcome: MeasurementOutcome | None = None
 
 
+#: The circuit key every verified measurement in this process shares;
+#: :func:`_process_circuit_key` establishes it on first use.
+_process_key: CircuitKey | None = None
+_handshake_lock = threading.Lock()
+
+
+def _process_circuit_key() -> CircuitKey:
+    """The process's circuit key, from one DH handshake on first use."""
+    global _process_key
+    if _process_key is None:
+        with _handshake_lock:
+            if _process_key is None:
+                _process_key = establish_circuit_key()[0]
+    return _process_key
+
+
 class MeasurementEngine:
     """Prepares and executes measurement slots, one at a time or in batches.
 
     One engine instance is safe to share across threads: per-measurement
-    state lives in the plan, and the only shared mutable is the lazily
-    established circuit key, which is created under a lock and immutable
-    afterwards.
+    state lives in the plan, and the only state shared between
+    measurements is the process's circuit key, which is established once
+    under a lock and whose keystream cache only memoises deterministic
+    bytes.
     """
 
     def __init__(
@@ -340,28 +358,24 @@ class MeasurementEngine:
         self.noise = noise
         self.default_rtt = default_rtt
         self.reuse_circuit_keys = reuse_circuit_keys
-        self._shared_key: CircuitKey | None = None
-        self._key_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Circuit keys
     # ------------------------------------------------------------------
 
     def _verifier_key(self) -> CircuitKey | None:
-        """One DH handshake per engine instead of per measurement.
+        """One DH handshake per process instead of per measurement.
 
         The 2048-bit modular exponentiations of
         :func:`establish_circuit_key` dominated the pre-engine profile
         while contributing nothing to the simulation: estimates and the
         (1-p)^k forgery-detection bound are independent of the key bits.
+        So every engine hands out the process's one key, and a process
+        running many campaigns pays for a single handshake.
         """
         if not self.reuse_circuit_keys:
             return None  # EchoVerifier runs its own handshake.
-        if self._shared_key is None:
-            with self._key_lock:
-                if self._shared_key is None:
-                    self._shared_key = establish_circuit_key()[0]
-        return self._shared_key
+        return _process_circuit_key()
 
     # ------------------------------------------------------------------
     # Prepare: per-measurement invariants

@@ -39,13 +39,15 @@ class SigningIdentity:
 
     def __init__(self, name: str, private: int | None = None):
         self.name = name
-        self._private = (
-            private if private is not None else secrets.randbelow(GROUP_ORDER - 1) + 1
-        )
+        if private is None:
+            # ff-lint: allow[FF003] reason=a private key drawn from a seeded stream is known to anyone who knows the seed; key material must come from OS entropy
+            private = secrets.randbelow(GROUP_ORDER - 1) + 1
+        self._private = private
         self.public = pow(SUBGROUP_GENERATOR, self._private, MODP_2048_PRIME)
 
     def sign(self, message: bytes) -> tuple[int, int]:
         """Produce a Schnorr signature (e, s) over ``message``."""
+        # ff-lint: allow[FF003] reason=a predictable Schnorr nonce k gives away the private key from one signature (x = (s - k) / e); it must come from OS entropy
         k = secrets.randbelow(GROUP_ORDER - 1) + 1
         r = pow(SUBGROUP_GENERATOR, k, MODP_2048_PRIME)
         e = _hash_to_int(r.to_bytes(256, "big"), message)

@@ -7,7 +7,7 @@ This package is the execution layer beneath
   engine's prepared inputs into a
   :class:`~repro.kernel.compile.CompiledMeasurement`: the per-second
   arrays the walk reads (supply, jitter x environment, background)
-  plus the engine's live circuit key, with every pre-walk RNG draw
+  plus the process's live circuit key, with every pre-walk RNG draw
   made in stateful order;
 - :mod:`repro.kernel.supply` executes compiled measurements as
   vectorized numpy array walks, bit-identical to the stateful

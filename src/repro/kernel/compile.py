@@ -3,7 +3,7 @@
 :func:`compile_measurement` turns a :class:`MeasurementSpec` plus the
 engine's prepared inputs (:meth:`MeasurementEngine.prepare_inputs`) into
 a :class:`CompiledMeasurement`: the arrays one measurement's per-second
-walk reads, plus the engine's live circuit key. Compilation performs
+walk reads, plus the process's live circuit key. Compilation performs
 **every RNG draw** the stateful engine path makes before its walk, in
 the same order on the same forked streams:
 
@@ -89,9 +89,9 @@ class CompiledMeasurement:
     #: Seed of the ``verify-payload-*`` stream the sampled-cell payloads
     #: are drawn from (the stateful verifier's ``payload_rng`` fork).
     payload_seed: int
-    #: The engine's shared circuit key for the verification replay (its
-    #: keystream cache stays warm across the engine's measurements);
-    #: None when verification is off.
+    #: The process's shared circuit key for the verification replay
+    #: (``engine._verifier_key()``; its keystream cache stays warm across
+    #: every measurement in the process); None when verification is off.
     key: CircuitKey | None
     #: Early result (admission refusal); skips execution entirely.
     outcome: MeasurementOutcome | None = None

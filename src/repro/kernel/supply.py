@@ -26,7 +26,7 @@ measurement series: the per-second sample counts consume the
 measurement's ``verify-*`` RNG stream exactly as
 :class:`repro.core.verification.EchoVerifier` would, and each sampled
 cell performs the honest encrypt/echo/compare round trip with the
-engine's own circuit key (compiled in as ``CompiledMeasurement.key``),
+process's shared circuit key (compiled in as ``CompiledMeasurement.key``),
 so ``cells_checked`` (and the simulated crypto work) match the stateful
 path. Honest relays by construction never fail the check;
 forging relays replay their forge decisions from the behaviour's

@@ -30,7 +30,12 @@ import math
 from dataclasses import dataclass
 
 from repro.core.schedule import PeriodSchedule
-from repro.errors import ConfigurationError, ScheduleError
+from repro.errors import (
+    ConfigurationError,
+    ScheduleError,
+    _is_finite_number,
+    _is_int,
+)
 from repro.rng import fork, seed_from
 from repro.tornet.network import (
     _LOGNORMAL_MEDIAN,
@@ -106,18 +111,41 @@ class ChurnConfig:
     join_max_capacity: float = JULY_2019_MAX_CAPACITY
 
     def __post_init__(self) -> None:
-        if self.join_rate < 0:
-            raise ConfigurationError("join_rate must be >= 0")
+        if not _is_int(self.seed):
+            raise ConfigurationError(
+                f"seed must be an integer, got {self.seed!r}"
+            )
+        # A NaN rate draws no joins and an infinite one floods the
+        # network; a NaN or non-positive capacity parameter pins every
+        # joining relay at a clip bound (or fails inside the lognormal).
+        for name in (
+            "join_rate", "leave_fraction", "capacity_change_fraction",
+            "capacity_change_std", "join_median", "join_sigma",
+            "join_max_capacity",
+        ):
+            value = getattr(self, name)
+            if not _is_finite_number(value):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
+        for name in ("join_rate", "join_sigma", "capacity_change_std"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
+        for name in ("join_median", "join_max_capacity"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigurationError(f"{name} must be > 0, got {value!r}")
         if not 0 <= self.leave_fraction < 1:
             raise ConfigurationError("leave_fraction must be in [0, 1)")
         if not 0 <= self.capacity_change_fraction <= 1:
             raise ConfigurationError(
                 "capacity_change_fraction must be in [0, 1]"
             )
-        if self.capacity_change_std < 0:
-            raise ConfigurationError("capacity_change_std must be >= 0")
-        if not self.join_prefix:
-            raise ConfigurationError("join_prefix must be non-empty")
+        if not isinstance(self.join_prefix, str) or not self.join_prefix:
+            raise ConfigurationError(
+                f"join_prefix must be a non-empty str, got {self.join_prefix!r}"
+            )
 
     def to_dict(self) -> dict:
         return {

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from repro.api.execution import ExecutionConfig
 from repro.api.scenario import NetworkSpec, Scenario
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, _is_finite_number, _is_int
 from repro.service.churn import ChurnConfig, ChurnEvent
 from repro.tornet.network import _MIN_CAPACITY, TorNetwork
 from repro.tornet.relay import Relay
@@ -212,12 +212,25 @@ class ServiceConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.periods < 1:
-            raise ConfigurationError("periods must be >= 1")
-        if self.publish_every < 1:
-            raise ConfigurationError("publish_every must be >= 1")
-        if self.period_seconds <= 0:
-            raise ConfigurationError("period_seconds must be positive")
+        # A float count runs ceil(periods) periods and publishes on the
+        # wrong boundaries; True runs as 1.
+        for name in ("periods", "publish_every"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value!r}")
+        if not _is_finite_number(self.period_seconds) or self.period_seconds <= 0:
+            raise ConfigurationError(
+                "period_seconds must be a finite number > 0, got "
+                f"{self.period_seconds!r}"
+            )
+        if self.seed is not None and not _is_int(self.seed):
+            raise ConfigurationError(
+                f"seed must be an integer or None, got {self.seed!r}"
+            )
         if self.clock not in ("simulated", "wall"):
             raise ConfigurationError("clock must be 'simulated' or 'wall'")
 
@@ -269,9 +282,9 @@ class ServiceConfig:
         return cls(
             scenario=record["scenario"],
             overrides=dict(record.get("overrides", {})),
-            periods=int(record["periods"]),
-            period_seconds=float(record["period_seconds"]),
-            publish_every=int(record.get("publish_every", 1)),
+            periods=record["periods"],
+            period_seconds=record["period_seconds"],
+            publish_every=record.get("publish_every", 1),
             out_dir=record.get("out_dir"),
             churn=ChurnConfig.from_dict(churn) if churn else None,
             execution=ExecutionConfig(**execution),

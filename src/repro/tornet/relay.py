@@ -309,18 +309,6 @@ class Relay:
         """The operator rate-limit bucket, if configured."""
         return self._bucket
 
-    @property
-    def is_behaviorally_honest(self) -> bool:
-        """True when the behaviour is exactly the honest default.
-
-        The vectorized kernel compiles any behaviour exposing a
-        :class:`BehaviorProgram` (honest and the four common attacks);
-        genuinely stateful custom behaviours -- those whose
-        :meth:`RelayBehavior.kernel_program` returns ``None`` -- fall
-        back to the stateful :meth:`measured_second` path.
-        """
-        return type(self.behavior) is RelayBehavior
-
     def draw_noise_series(self, n: int) -> list[float]:
         """Pre-draw ``n`` per-second jitter factors.
 

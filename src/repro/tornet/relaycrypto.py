@@ -40,9 +40,9 @@ _KEYSTREAM_BLOCK = 32  # SHA-256 digest size.
 
 #: Upper bound on cached keystream spans per key (at cell-payload size a
 #: full cache is ~4 MiB). Echo-cell verification restarts cell indices at
-#: zero for every measurement, so with a shared circuit key the same
-#: spans recur across a whole campaign and the cache hit rate approaches
-#: 100% after the first slot.
+#: zero for every measurement, so with the process's shared circuit key
+#: the same spans recur across every campaign and the cache hit rate
+#: approaches 100% after the first slot.
 _KEYSTREAM_CACHE_MAX = 8192
 
 
@@ -50,6 +50,7 @@ _KEYSTREAM_CACHE_MAX = 8192
 class DhParty:
     """One side of a Diffie-Hellman exchange."""
 
+    # ff-lint: allow[FF003] reason=a predictable DH exponent makes the circuit key public; key material must come from OS entropy (no estimate depends on its bits)
     private: int = field(default_factory=lambda: secrets.randbits(256))
 
     @property

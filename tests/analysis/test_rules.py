@@ -94,6 +94,12 @@ def test_ff003_fires_once_on_urandom(tmp_path):
     assert _codes(findings) == ["FF003"]
 
 
+def test_ff003_fires_once_on_secrets(tmp_path):
+    bad = "import secrets\n\ndef payload():\n    return secrets.token_bytes(16)\n"
+    findings = _lint(tmp_path, "src/repro/tornet/pay.py", bad)
+    assert _codes(findings) == ["FF003"]
+
+
 def test_ff003_fires_on_global_random_and_legacy_np(tmp_path):
     bad = (
         "import random\nimport numpy as np\n\n"

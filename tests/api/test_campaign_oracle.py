@@ -15,6 +15,7 @@ from typing import Callable
 
 import pytest
 
+import repro.core.engine as engine_module
 from repro.api import (
     Campaign,
     ExecutionConfig,
@@ -25,6 +26,7 @@ from repro.core.allocation import allocate_capacity, total_allocated
 from repro.core.engine import MeasurementEngine, MeasurementSpec
 from repro.core.netmeasure import CampaignResult
 from repro.rng import fork
+from repro.tornet.relaycrypto import CircuitKey
 from tests.oracles.slot_pack import reference_first_fit
 from tests.oracles.stateful_engine import use_stateful_reference
 
@@ -248,3 +250,35 @@ def test_tor_scale_pack_matches_reference():
     assert report.failures == reference.failures
     assert report.slots_elapsed == reference.slots_elapsed
     assert report.measurements_run == reference.measurements_run
+
+
+def _forger_campaign_outcome():
+    report = Campaign(
+        get_scenario("inflation-attack", behavior="forger"),
+        default_execution_for("inflation-attack"),
+    ).run()
+    return report, (
+        report.estimates, report.failures, report.slots_elapsed,
+        report.cells_checked, report.timeline(),
+    )
+
+
+@pytest.mark.parametrize("stateful", [False, True], ids=["kernel", "stateful"])
+def test_forger_campaign_does_not_depend_on_the_circuit_key(
+    stateful, monkeypatch
+):
+    """Every verified measurement in a process shares one circuit key,
+    which is sound only because estimates, forgery detection and cell
+    counts do not depend on the key bits: a forger campaign gives the
+    same report under a fixed all-zero key as under the real one, on
+    the kernel and on the stateful reference."""
+    real, expected = _forger_campaign_outcome()
+    assert real.failures and set(real.failures) == set(real.adversaries)
+    key = CircuitKey(bytes(32))
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "_process_key", key)
+        if stateful:
+            use_stateful_reference(patch)
+        _, outcome = _forger_campaign_outcome()
+    assert key._span_cache, "the fixed key was never used"
+    assert outcome == expected

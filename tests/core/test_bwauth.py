@@ -3,9 +3,11 @@
 import pytest
 
 from repro import quick_team
+from repro.api import Campaign, default_execution_for, get_scenario
 from repro.attacks.relays import ForgingRelayBehavior
 from repro.core.bwauth import FlashFlowAuthority
 from repro.core.measurer import Measurer
+from repro.core.messages import SigningIdentity
 from repro.core.params import FlashFlowParams
 from repro.errors import AllocationError
 from repro.netsim.hosts import Host, make_paper_hosts
@@ -152,3 +154,23 @@ def test_measure_measurers_without_network_uses_link():
     auth = FlashFlowAuthority("b", team, seed=16)
     results = auth.measure_measurers()
     assert results["solo"] == gbit(1)
+
+
+def test_campaign_generates_no_signing_key(monkeypatch):
+    """No estimate reads a Schnorr key, so a campaign generates none:
+    each costs a 2047-bit modular exponentiation. Transcript sessions
+    take their identities as arguments."""
+    keys = []
+    original = SigningIdentity.__init__
+
+    def counting(self, *args, **kwargs):
+        keys.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SigningIdentity, "__init__", counting)
+    report = Campaign(
+        get_scenario("fig06-accuracy", n_relays=4),
+        default_execution_for("fig06-accuracy"),
+    ).run()
+    assert report.estimates
+    assert keys == []

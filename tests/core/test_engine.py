@@ -7,10 +7,15 @@ forked RNG streams consumed in the same order -- so its outcomes are
 """
 
 import statistics
+import sys
+import threading
 
 import pytest
 
+import repro.core.engine as engine_module
+import repro.core.verification as verification_module
 from repro import quick_team
+from repro.api import Campaign, ExecutionConfig, get_scenario
 from repro.core.allocation import allocate_capacity, total_allocated
 from repro.core.engine import (
     MeasurementEngine,
@@ -325,6 +330,92 @@ def test_session_refusal_short_circuits_engine():
     assert outcome.failed
     assert "already measured" in outcome.failure_reason
     session.verify_transcript()
+
+
+# ---------------------------------------------------------------------------
+# Circuit keys
+# ---------------------------------------------------------------------------
+
+def _counting(monkeypatch, modules):
+    """Count ``establish_circuit_key`` calls made through ``modules``."""
+    calls = []
+    real = engine_module.establish_circuit_key
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    for module in modules:
+        monkeypatch.setattr(module, "establish_circuit_key", counting)
+    return calls
+
+
+def test_engines_share_one_circuit_key_per_process(monkeypatch):
+    """No estimate depends on the key bits, so every engine hands out the
+    process's one key: a process running many campaigns pays for one
+    2048-bit DH handshake, not one per campaign."""
+    assert MeasurementEngine()._verifier_key() is MeasurementEngine()._verifier_key()
+    monkeypatch.setattr(engine_module, "_process_key", None)
+    handshakes = _counting(monkeypatch, [engine_module])
+    for seed in (1, 2, 3):
+        report = Campaign(
+            get_scenario("fig06-accuracy", n_relays=4, seed=seed),
+            ExecutionConfig(),
+        ).run()
+        assert report.cells_checked > 0
+    assert len(handshakes) == 1
+
+
+def test_concurrent_first_use_runs_one_handshake(monkeypatch):
+    """Engines on many threads asking for the key at once all get the
+    same object from a single handshake (the lock makes the first use a
+    one-time initialisation, not a check-then-act race)."""
+    monkeypatch.setattr(engine_module, "_process_key", None)
+    handshakes = _counting(monkeypatch, [engine_module])
+    keys = []
+    barrier = threading.Barrier(8)
+
+    def first_use():
+        barrier.wait(timeout=10)
+        keys.append(MeasurementEngine()._verifier_key())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=first_use) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(keys) == 8
+    assert all(key is keys[0] for key in keys)
+    assert len(handshakes) == 1
+
+
+def test_without_key_reuse_each_verified_measurement_runs_its_handshake(
+    monkeypatch,
+):
+    """``reuse_circuit_keys=False`` keeps the protocol's per-circuit
+    handshake: the engine hands out no key, the batch takes the stateful
+    path, and each measurement's :class:`EchoVerifier` runs its own."""
+    engine = MeasurementEngine(reuse_circuit_keys=False)
+    assert engine._verifier_key() is None
+    handshakes = _counting(monkeypatch, [engine_module, verification_module])
+    params = FlashFlowParams()
+    auth = quick_team(seed=1)
+    specs = [
+        _spec(
+            Relay.with_capacity(f"r{i}", mbit(100), seed=i), auth.team,
+            params.allocation_factor * mbit(100), params, seed=i,
+        )
+        for i in range(3)
+    ]
+    outcomes = engine.run_many(specs)
+    assert all(outcome.cells_checked > 0 for outcome in outcomes)
+    assert len(handshakes) == 3
 
 
 @pytest.mark.parametrize("field,kwargs", [

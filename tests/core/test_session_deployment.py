@@ -17,7 +17,7 @@ from repro.units import mbit
 @pytest.fixture
 def session(team_auth):
     return MeasurementSession(
-        bwauth=team_auth.identity,
+        bwauth=SigningIdentity(team_auth.name),
         measurer_identities={
             m.name: SigningIdentity(m.name) for m in team_auth.team
         },

@@ -124,10 +124,38 @@ def test_apply_to_schedule_counts_unslottable_joins(params):
     assert "fresh" not in schedule.assignments
 
 
-def test_churn_config_validation():
-    with pytest.raises(ConfigurationError):
-        ChurnConfig(join_rate=-1.0)
-    with pytest.raises(ConfigurationError):
-        ChurnConfig(leave_fraction=1.0)
-    with pytest.raises(ConfigurationError):
-        ChurnConfig(join_prefix="")
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("join_rate", -1.0),
+    ("leave_fraction", 1.0),
+    ("join_prefix", ""),
+    # Each of these used to construct, then silently reshape the
+    # deployment: a NaN join rate drew no joins and an infinite one 738
+    # into a 200-relay network; True ran as 1; a NaN drift std set every
+    # factor to the 0.1 floor; a NaN median or sigma put every joining
+    # relay at the max clip and a NaN or negative max at the min clip; a
+    # negative median raised a math domain error mid-period.
+    ("join_rate", NAN),
+    ("join_rate", INF),
+    ("join_rate", True),
+    ("capacity_change_std", NAN),
+    ("join_median", NAN),
+    ("join_sigma", NAN),
+    ("join_max_capacity", NAN),
+    ("join_max_capacity", -5),
+    ("join_median", -1),
+    ("seed", 1.5),
+    ("seed", "x"),
+    ("join_prefix", 5),
+])
+def test_churn_config_validation(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        ChurnConfig(**{field: value})
+
+
+def test_churn_config_accepts_boundary_values():
+    config = ChurnConfig(join_rate=0, capacity_change_std=0, join_sigma=0)
+    assert ChurnConfig.from_dict(config.to_dict()) == config
+    assert churn_events_for_period(config, 0, []) == []

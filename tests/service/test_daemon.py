@@ -155,13 +155,35 @@ def test_status_summarizes_a_journal(tmp_path):
     assert summary["resumes"] == 0
 
 
-def test_service_config_round_trips_and_validates():
+@pytest.mark.parametrize("field,value", [
+    ("periods", 0),
+    ("clock", "lunar"),
+    # These used to construct: 2.5 periods ran 3 and True ran 1, a
+    # publish_every of 1.5 published 1 file of 5, and a string seed
+    # raised a bare TypeError from the daemon; "3" periods raised one
+    # from __post_init__.
+    ("periods", 2.5),
+    ("periods", True),
+    ("periods", "3"),
+    ("publish_every", 1.5),
+    ("period_seconds", float("nan")),
+    ("period_seconds", float("inf")),
+    ("seed", 1.5),
+    ("seed", "x"),
+])
+def test_service_config_round_trips_and_validates(field, value):
     config = analytic_config()
     assert ServiceConfig.from_dict(config.to_dict()) == config
-    with pytest.raises(ConfigurationError):
-        ServiceConfig(periods=0)
-    with pytest.raises(ConfigurationError):
-        ServiceConfig(clock="lunar")
+    with pytest.raises(ConfigurationError, match=field):
+        ServiceConfig(**{field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        ServiceConfig.from_dict({**config.to_dict(), field: value})
     with pytest.raises(ConfigurationError):
         # Explicit-network scenarios cannot seed a durable table.
         ServiceConfig(scenario="nope").base_scenario()
+
+
+def test_service_config_accepts_boundary_values():
+    config = analytic_config(period_seconds=3600, seed=None, periods=1)
+    assert ServiceConfig.from_dict(config.to_dict()) == config
+    assert config.effective_seed == config.base_scenario().seed

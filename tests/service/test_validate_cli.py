@@ -142,3 +142,15 @@ def test_service_cli_reports_errors(tmp_path, capsys):
     missing = tmp_path / "nope.jsonl"
     assert service_main(["status", "--journal", str(missing)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_service_cli_rejects_a_nan_join_rate(tmp_path, capsys):
+    """``--join-rate nan`` used to run a deployment that drew no joins."""
+    code = service_main(
+        [
+            "run", "--periods", "1", "--analytic", "-o", "n_relays=8",
+            "--join-rate", "nan", "--journal", str(tmp_path / "svc.jsonl"),
+        ]
+    )
+    assert code == 1
+    assert "error: join_rate" in capsys.readouterr().err

@@ -123,7 +123,9 @@ def updated_baseline(
     updated = []
     for finding in findings:
         bucket = pool.get(finding.key())
-        reason = bucket.pop().reason if bucket else ""
+        # Findings and entries are both in file order, so take the
+        # first: a shared context line keeps each occurrence's reason.
+        reason = bucket.pop(0).reason if bucket else ""
         updated.append(
             BaselineEntry(
                 code=finding.code, path=finding.path, line=finding.line,

@@ -4,19 +4,19 @@
 ``raise`` anywhere in its body) must leave evidence: increment a metrics
 counter (``.inc(...)`` / ``.observe(...)`` on a registry instrument) or
 fire a one-shot ``warn_once``. A degradation that changes the execution
-strategy -- a joining relay the schedule cannot slot, a spec leaving the
-kernel for the stateful path -- keeps results correct by design, but
-*silently* taking the slow path is how perf regressions and environment
-breakage hide for months.
+strategy -- a spec leaving the kernel for the stateful path, say --
+keeps results correct by design, but *silently* taking the slow path is
+how perf regressions and environment breakage hide for months.
 
 **Provenance.** The contract was written for the since-removed process
 backend's two fallbacks (shared memory falling back to pickling, a
 worker pool rebuilt after a crash): each counted the event *and* fired a
 ``DegradationWarning`` via ``warn_once``. This rule generalizes it to
-every handler that swallows; ``service/churn.py``'s unslottable joiner
-(counted in ``counts["unslotted"]``) is a live example. CLI
-``__main__`` modules are exempt: converting an exception into an error
-message and a nonzero exit *is* the evidence there.
+every handler that swallows. The kernel's stateful fallback
+(:func:`repro.kernel.run_specs`, counted in ``kernel.specs.fallback``)
+keeps the same contract without an ``except``. CLI ``__main__`` modules
+are exempt: converting an exception into an error message and a
+nonzero exit *is* the evidence there.
 """
 
 from __future__ import annotations

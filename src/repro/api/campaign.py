@@ -44,7 +44,7 @@ from repro.api.events import (
 from repro.api.execution import ExecutionConfig
 from repro.api.report import CampaignReport, MeasurementRecord, RoundRecord
 from repro.api.scenario import ResolvedScenario, Scenario
-from repro.core.allocation import MeasurerAssignment, allocate_capacity, total_allocated
+from repro.core.allocation import MeasurerAssignment, TeamCapacity, total_allocated
 from repro.core.bwauth import FlashFlowAuthority
 from repro.core.deployment import Deployment
 from repro.core.engine import (
@@ -163,6 +163,9 @@ def run_period_rounds(
             with tracer.span("round.pack"):
                 first_slot = slot_index
                 required = [required_for(z0) for _, z0, _ in queue]
+                # Nothing commits measurer capacity during a campaign,
+                # so every job of the round sees the same capacities.
+                allocator = TeamCapacity(team)
                 jobs: list[_Job] = []
                 for slot in first_fit_slots(required, team_capacity):
                     for i in slot:
@@ -178,9 +181,7 @@ def run_period_rounds(
                                     required[i]
                                     < params.allocation_factor * z0
                                 ),
-                                assignments=allocate_capacity(
-                                    team, required[i]
-                                ),
+                                assignments=allocator.allocate(required[i]),
                                 background=background_for(fp),
                                 wobble=(
                                     None

@@ -28,49 +28,80 @@ class MeasurerAssignment:
         return self.allocated > 0
 
 
+class TeamCapacity:
+    """A team's capacities, read once and granted greedily per request.
+
+    Reads each measurer's residual capacity (its full capacity when
+    ``use_residual`` is false) and the most-residual-first order once,
+    so a campaign round allocating many jobs from an uncommitted team
+    reads them once. Each grant drains a measurer to exactly zero or
+    covers what remains, so no measurer is granted twice, and visiting
+    them in descending capacity, ties in team order, gives the same
+    grants and float sums as repeatedly picking the first
+    most-residual measurer. Measurer names must be unique, as the
+    authority enforces.
+    """
+
+    def __init__(self, team: list[Measurer], use_residual: bool = True):
+        self.team = list(team)
+        self.capacities = [
+            m.residual_capacity if use_residual else m.capacity
+            for m in self.team
+        ]
+        self.total = sum(self.capacities)
+        # A stable sort keeps equal capacities in team order, even
+        # reversed.
+        self.order = sorted(
+            range(len(self.team)),
+            key=self.capacities.__getitem__,
+            reverse=True,
+        )
+
+    def allocate(self, required: float) -> list[MeasurerAssignment]:
+        """Greedily allocate ``required`` bit/s across the team.
+
+        Returns one assignment per measurer (zero-allocated measurers
+        included, preserving team order). Raises :class:`AllocationError`
+        if the team cannot supply ``required``.
+        """
+        if required < 0:
+            raise AllocationError("cannot allocate negative capacity")
+        if self.total + 1e-6 < required:
+            raise AllocationError(
+                f"team supplies {self.total:.0f} bit/s but "
+                f"{required:.0f} needed"
+            )
+        allocations = [0.0] * len(self.team)
+        remaining = required
+        # Tolerance scales with the request: at multi-Gbit/s magnitudes
+        # the floating-point ulp alone exceeds an absolute epsilon.
+        tolerance = max(1e-6, required * 1e-9)
+        for i in self.order:
+            if remaining <= tolerance or self.capacities[i] <= 0:
+                break
+            grant = min(self.capacities[i], remaining)
+            allocations[i] = grant
+            remaining -= grant
+        if remaining > tolerance:
+            raise AllocationError("ran out of capacity mid-allocation")
+        return [
+            MeasurerAssignment(measurer=m, allocated=a)
+            for m, a in zip(self.team, allocations)
+        ]
+
+
 def allocate_capacity(
     team: list[Measurer], required: float, use_residual: bool = True
 ) -> list[MeasurerAssignment]:
     """Greedily allocate ``required`` bit/s across the team.
 
-    Returns one assignment per measurer (zero-allocated measurers
-    included, preserving team order). Raises :class:`AllocationError` if
-    the team cannot supply ``required``.
+    The one-shot form of :meth:`TeamCapacity.allocate`. Raises
+    :class:`AllocationError` if the team cannot supply ``required``.
 
     ``use_residual`` accounts for capacity committed to concurrent
     measurements; the full-network scheduler relies on this.
     """
-    if required < 0:
-        raise AllocationError("cannot allocate negative capacity")
-    capacities = {
-        m.name: (m.residual_capacity if use_residual else m.capacity)
-        for m in team
-    }
-    total = sum(capacities.values())
-    if total + 1e-6 < required:
-        raise AllocationError(
-            f"team supplies {total:.0f} bit/s but {required:.0f} needed"
-        )
-
-    allocations = {m.name: 0.0 for m in team}
-    remaining = required
-    # Tolerance scales with the request: at multi-Gbit/s magnitudes the
-    # floating-point ulp alone exceeds an absolute epsilon.
-    tolerance = max(1e-6, required * 1e-9)
-    # Repeatedly give the most-residual measurer as much as possible.
-    while remaining > tolerance:
-        name = max(capacities, key=lambda n: capacities[n])
-        if capacities[name] <= 0:
-            raise AllocationError("ran out of capacity mid-allocation")
-        grant = min(capacities[name], remaining)
-        allocations[name] += grant
-        capacities[name] -= grant
-        remaining -= grant
-
-    return [
-        MeasurerAssignment(measurer=m, allocated=allocations[m.name])
-        for m in team
-    ]
+    return TeamCapacity(team, use_residual).allocate(required)
 
 
 def total_allocated(assignments: list[MeasurerAssignment]) -> float:

@@ -38,10 +38,15 @@ class BandwidthLine:
 
     @classmethod
     def parse(cls, line: str) -> "BandwidthLine":
-        parts = line.strip().split()
-        if any("=" not in part for part in parts):
-            raise ConfigurationError(f"malformed bandwidth line: {line!r}")
-        fields = dict(part.split("=", 1) for part in parts)
+        parts = line.split()
+        fields = {}
+        for part in parts:
+            key, sep, value = part.partition("=")
+            if not sep:
+                raise ConfigurationError(f"malformed bandwidth line: {line!r}")
+            fields[key] = value
+        # Checked after the loop, so a part without "=" anywhere in the
+        # line is reported as malformed before any duplicate key.
         if len(fields) != len(parts):
             raise ConfigurationError(
                 f"duplicate key in bandwidth line: {line!r}"

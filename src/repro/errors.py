@@ -58,3 +58,18 @@ def _is_finite_number(value) -> bool:
         and not isinstance(value, bool)
         and math.isfinite(value)
     )
+
+
+def _check_record(record, allowed, what: str) -> None:
+    """Raise :class:`ConfigurationError` naming the offending key unless
+    ``record`` (a loaded JSON object) is a dict with keys in ``allowed``.
+
+    ``cls(**record)`` would raise a bare ``TypeError`` instead.
+    """
+    if not isinstance(record, dict):
+        raise ConfigurationError(f"{what} must be an object, got {record!r}")
+    unknown = sorted(set(record) - set(allowed))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} key(s): {', '.join(map(repr, unknown))}"
+        )

@@ -31,8 +31,11 @@ class KernelConfig:
 
     @classmethod
     def default(cls) -> "KernelConfig":
-        """The stock configuration on all paper hosts: 4 MiB / 6 MiB."""
-        return cls(read_buf_max=4 * MIB, write_buf_max=6 * MIB, name="default")
+        """The stock configuration on all paper hosts: 4 MiB / 6 MiB.
+
+        The config is frozen, so every host shares one instance.
+        """
+        return _DEFAULT
 
     @classmethod
     def tuned(cls) -> "KernelConfig":
@@ -52,3 +55,6 @@ class KernelConfig:
         if rtt_seconds <= 0:
             return float("inf")
         return self.window_limit_bytes(peer) * 8.0 / rtt_seconds
+
+
+_DEFAULT = KernelConfig(read_buf_max=4 * MIB, write_buf_max=6 * MIB, name="default")

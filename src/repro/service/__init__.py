@@ -13,9 +13,7 @@ that service shape for the reproduction:
   files on a schedule;
 - :mod:`repro.service.churn` -- deterministic seeded relay
   join/leave/capacity-change event streams, applied between periods to
-  the daemon's network table and to the period's secret
-  :class:`repro.core.schedule.PeriodSchedule` (joins FCFS via
-  ``add_new_relay``, leaves via ``remove_relay``);
+  the daemon's network table;
 - :mod:`repro.service.state` -- the daemon's durable state
   (:class:`ServiceConfig`, :class:`NetworkTable`, :class:`Snapshot`):
   everything a killed daemon needs to resume producing **bit-identical**

@@ -10,14 +10,13 @@ churn_events_for_period`` expands it into a concrete, deterministic
 resume needs no RNG stream positions: the stream re-derives from the
 period index alone.
 
-Events are applied in two places:
-
-- the daemon's :class:`repro.service.state.NetworkTable` (the durable
-  membership table the next period's network materializes from), and
-- the period's secret :class:`repro.core.schedule.PeriodSchedule` via
-  :func:`apply_to_schedule`: joins are slotted FCFS
-  (``add_new_relay``), leaves release their reserved slot capacity
-  (``remove_relay``) -- the churn-aware schedule path.
+Events are applied to the daemon's
+:class:`repro.service.state.NetworkTable`, the durable membership table
+the next period's network materializes from
+(:meth:`~repro.service.state.NetworkTable.apply_churn`). The period's
+campaign then measures the new membership: joins as new relays at the
+§4.3 new-relay seed estimate, drifted relays against their old prior,
+and leavers not at all.
 
 Draw order within a period is fixed (leaves, then joins, then capacity
 changes) and all draws come from one forked stream, so adding relays in
@@ -27,12 +26,11 @@ one period never perturbs another period's events.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from repro.core.schedule import PeriodSchedule
 from repro.errors import (
     ConfigurationError,
-    ScheduleError,
+    _check_record,
     _is_finite_number,
     _is_int,
 )
@@ -48,7 +46,6 @@ from repro.tornet.network import (
 __all__ = [
     "ChurnConfig",
     "ChurnEvent",
-    "apply_to_schedule",
     "churn_events_for_period",
 ]
 
@@ -162,6 +159,7 @@ class ChurnConfig:
 
     @classmethod
     def from_dict(cls, record: dict) -> "ChurnConfig":
+        _check_record(record, [f.name for f in fields(cls)], "churn config")
         return cls(**record)
 
 
@@ -225,36 +223,3 @@ def churn_events_for_period(
                 ChurnEvent(kind="capacity", fingerprint=fp, capacity=factor)
             )
     return events
-
-
-def apply_to_schedule(
-    schedule: PeriodSchedule, events: list[ChurnEvent], new_relay_seed: float
-) -> dict[str, int]:
-    """Fold churn events into an already-computed period schedule.
-
-    Joins are slotted first-come-first-served
-    (:meth:`PeriodSchedule.add_new_relay` with the protocol's
-    new-relay seed estimate); leaves release their reservation
-    (:meth:`PeriodSchedule.remove_relay`) so later joins can re-use the
-    freed capacity. Capacity-change events leave the schedule alone --
-    the drift shows up in the *next* period's requirements. Returns
-    counts (including joins that found no feasible slot, which wait for
-    the next period rather than aborting the service).
-    """
-    counts = {"joins": 0, "leaves": 0, "capacity_changes": 0, "unslotted": 0}
-    for event in events:
-        if event.kind == "leave":
-            if event.fingerprint in schedule.assignments:
-                schedule.remove_relay(event.fingerprint)
-                counts["leaves"] += 1
-        elif event.kind == "join":
-            try:
-                schedule.add_new_relay(event.fingerprint, new_relay_seed)
-                counts["joins"] += 1
-            except ScheduleError:
-                counts["unslotted"] += 1
-        elif event.kind == "capacity":
-            counts["capacity_changes"] += 1
-        else:
-            raise ConfigurationError(f"unknown churn event kind {event.kind!r}")
-    return counts

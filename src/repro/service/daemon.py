@@ -5,23 +5,20 @@ one-shot campaign stack into a *service*: it ticks measurement periods
 on a :mod:`clock <repro.service.clock>` (simulated or wall), and for
 each period
 
-1. computes the §4.3 secret schedule (:class:`~repro.core.schedule.\
-   PeriodSchedule`) from the previous periods' estimates,
-2. derives and applies the period's deterministic churn
+1. derives and applies the period's deterministic churn
    (:mod:`repro.service.churn`) to the durable
-   :class:`~repro.service.state.NetworkTable` *and* the schedule
-   (joins FCFS, leaves released),
-3. materializes a fresh network from the table, builds a one-period
+   :class:`~repro.service.state.NetworkTable`,
+2. materializes a fresh network from the table, builds a one-period
    :class:`~repro.api.scenario.Scenario` against it (priors from the
    :class:`~repro.core.deployment.Deployment` history), and runs the
    :class:`~repro.api.Campaign` off the event loop in an executor,
-4. folds the result into the deployment (prior carryover + aging) and
+3. folds the result into the deployment (prior carryover + aging) and
    publishes a v3bw bandwidth file on the configured cadence,
-5. journals everything (:mod:`repro.service.journal`) and snapshots
+4. journals everything (:mod:`repro.service.journal`) and snapshots
    the full durable state at the period boundary.
 
 Determinism: the service layer reads clocks, never RNGs. Every stream
--- per-period campaign seeds, schedule seeds, churn events -- re-derives
+-- per-period campaign seeds and churn events -- re-derives
 from ``(service seed, period index)`` labels, and each period's relays
 are materialized fresh from plain rows, so period ``k`` is a pure
 function of ``(config, table, history, k)``. That is why a daemon
@@ -44,11 +41,10 @@ from repro.api.campaign import Campaign
 from repro.api.events import CampaignObserver, RoundCompleted
 from repro.core.bwfile import BandwidthFile
 from repro.core.deployment import Deployment
-from repro.core.schedule import PeriodSchedule
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, get_tracer
 from repro.rng import seed_from
-from repro.service.churn import apply_to_schedule, churn_events_for_period
+from repro.service.churn import churn_events_for_period
 from repro.service.clock import make_clock
 from repro.service.journal import (
     ServiceJournal,
@@ -274,9 +270,8 @@ class BwauthDaemon:
             }
         )
         with self._span("service.period", k):
-            schedule = self._build_schedule(k)
             if k > 0 and self.config.churn is not None:
-                self._apply_churn(k, schedule)
+                self._apply_churn(k)
 
             network = self.table.materialize()
             priors = self.deployment.priors_for(network)
@@ -319,7 +314,6 @@ class BwauthDaemon:
                 "rounds": len(report.rounds),
                 "measurements": report.measurements_run,
                 "median_error_vs_truth": report.median_error_vs_truth(),
-                "schedule_slots_in_use": schedule.slots_in_use(),
                 "estimates_sha256": estimates_digest(report.estimates),
             }
             self.period_stats.append(stats)
@@ -332,39 +326,10 @@ class BwauthDaemon:
             )
             self.registry.gauge("service.relays").set(len(network))
 
-    def _build_schedule(self, k: int) -> PeriodSchedule:
-        """The period's secret schedule from the BWAuth's shared seed.
-
-        Old relays (fresh priors) get random feasible slots; members
-        never measured before are slotted FCFS at the §4.3 new-relay
-        seed estimate. The campaign's own packing loop re-derives the
-        measurement order internally; this artifact is the *published
-        plan* churn is folded into, and it is journaled per period.
-        """
-        params = self.deployment.authority.params
-        team_capacity = self.deployment.authority.team_capacity()
-        known = self.deployment.known_estimates()
-        members = self.table.fingerprints()
-        estimates = {fp: known[fp] for fp in members if fp in known}
-        schedule = PeriodSchedule.build(
-            params,
-            team_capacity,
-            estimates,
-            seed=seed_from(self.seed, f"schedule-{k}").to_bytes(8, "big"),
-        )
-        for fp in sorted(fp for fp in members if fp not in estimates):
-            schedule.add_new_relay(fp, params.new_relay_seed)
-        return schedule
-
-    def _apply_churn(self, k: int, schedule: PeriodSchedule) -> None:
+    def _apply_churn(self, k: int) -> None:
         config = self.config.churn
         events = churn_events_for_period(config, k, self.table.fingerprints())
         with self._span("service.churn.applied", k, n_events=len(events)):
-            schedule_counts = apply_to_schedule(
-                schedule,
-                events,
-                self.deployment.authority.params.new_relay_seed,
-            )
             table_counts = self.table.apply_churn(events)
         self._journal(
             {
@@ -372,7 +337,6 @@ class BwauthDaemon:
                 "period": k,
                 "events": [event.to_dict() for event in events],
                 "table": table_counts,
-                "schedule": schedule_counts,
                 "n_relays": len(self.table),
             }
         )
@@ -381,9 +345,6 @@ class BwauthDaemon:
             self.registry.counter(f"service.churn.{key}").inc(
                 table_counts[key]
             )
-        self.registry.counter("service.churn.unslotted").inc(
-            schedule_counts["unslotted"]
-        )
 
     def _publish(self, k: int, bwfile: BandwidthFile) -> None:
         with self._span("service.publish", k):

@@ -16,7 +16,10 @@ Record types:
   rev), and the full :class:`~repro.service.state.ServiceConfig`;
 - ``period_started`` / ``period_completed`` -- period boundaries, the
   latter carrying the estimates digest and error-vs-truth stats;
-- ``churn`` -- the period's applied churn events and schedule counts;
+- ``churn`` -- the period's churn events and the counts the network
+  table applied. Older journals also carry, here and in
+  ``period_completed``, counts from a §4.3 schedule the daemon built
+  but never executed; readers ignore them;
 - ``round`` -- one campaign round's aggregate outcome;
 - ``published`` -- a bandwidth file's path, line count, and sha256;
 - ``span`` -- service-layer span timings (``service.period``,

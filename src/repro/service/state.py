@@ -28,11 +28,16 @@ no generator positions to checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from repro.api.execution import ExecutionConfig
 from repro.api.scenario import NetworkSpec, Scenario
-from repro.errors import ConfigurationError, _is_finite_number, _is_int
+from repro.errors import (
+    ConfigurationError,
+    _check_record,
+    _is_finite_number,
+    _is_int,
+)
 from repro.service.churn import ChurnConfig, ChurnEvent
 from repro.tornet.network import _MIN_CAPACITY, TorNetwork
 from repro.tornet.relay import Relay
@@ -273,10 +278,21 @@ class ServiceConfig:
 
     @classmethod
     def from_dict(cls, record: dict) -> "ServiceConfig":
+        _check_record(record, [f.name for f in fields(cls)], "service config")
+        for key in ("scenario", "periods", "period_seconds"):
+            if key not in record:
+                raise ConfigurationError(f"service config is missing {key!r}")
         churn = record.get("churn")
+        execution = record.get("execution", {})
+        _check_record(
+            execution,
+            [f.name for f in fields(ExecutionConfig)]
+            + list(_RETIRED_EXECUTION_KEYS),
+            "execution config",
+        )
         execution = {
             key: value
-            for key, value in record.get("execution", {}).items()
+            for key, value in execution.items()
             if key not in _RETIRED_EXECUTION_KEYS
         }
         return cls(

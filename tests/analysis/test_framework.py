@@ -183,3 +183,21 @@ def test_load_baseline_rejects_bad_schema_and_missing_fields(tmp_path):
 
 def test_missing_baseline_is_empty(tmp_path):
     assert load_baseline(tmp_path / "nope.json") == []
+
+
+def test_update_keeps_each_occurrences_reason(tmp_path):
+    """Two findings on identical context lines keep their own reasons
+    through an update; taking them from the end of the bucket swapped
+    them on every run."""
+    src = BAD + "\ndef payload2():\n    return os.urandom(16)\n"
+    _write(tmp_path, "src/repro/core/m.py", src)
+    findings = _lint(tmp_path)
+    entries = [
+        BaselineEntry(**{**entry.__dict__, "reason": reason})
+        for entry, reason in zip(
+            updated_baseline(findings, []), ["first", "second"]
+        )
+    ]
+    for _ in range(2):
+        entries = updated_baseline(findings, entries)
+        assert [e.reason for e in entries] == ["first", "second"]

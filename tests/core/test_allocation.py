@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import allocate_capacity, total_allocated
+from repro.core.allocation import TeamCapacity, allocate_capacity, total_allocated
 from repro.core.measurer import Measurer, socket_shares, sufficient_team, team_capacity
 from repro.errors import AllocationError, ConfigurationError
 from repro.netsim.hosts import Host
 from repro.units import gbit, mbit
+from tests.oracles.allocation import reference_allocate
 
 
 def _team(*capacities):
@@ -136,3 +137,70 @@ def test_allocation_properties(capacities, fraction):
     )
     for a in assignments:
         assert -1e-9 <= a.allocated <= a.measurer.capacity + 1e-6
+
+
+#: Capacities drawn from a short list make equal capacities (greedy
+#: ties) common; the float range covers everything else.
+_CAPACITY = st.one_of(
+    st.sampled_from([mbit(100), mbit(250), gbit(1), gbit(2.5)]),
+    st.floats(min_value=1e6, max_value=5e9),
+)
+
+
+@st.composite
+def _committed_team(draw):
+    """1-6 uniquely named measurers, some residuals cut by ``commit``."""
+    team = _team(*draw(st.lists(_CAPACITY, min_size=1, max_size=6)))
+    for measurer in team:
+        cut = draw(st.sampled_from(["none", "all", "part"]))
+        if cut == "all":
+            measurer.commit(measurer.capacity)
+        elif cut == "part":
+            measurer.commit(
+                measurer.capacity * draw(st.floats(min_value=0.0, max_value=1.0))
+            )
+    return team
+
+
+def _outcome(allocate, required):
+    """The grants as ``(measurer, allocated)`` in team order, or the error."""
+    try:
+        return [(a.measurer, a.allocated) for a in allocate(required)]
+    except AllocationError:
+        return AllocationError
+
+
+@given(
+    team=_committed_team(),
+    use_residual=st.booleans(),
+    fractions=st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.05),
+            st.sampled_from([0.0, 0.5, 1.0]),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_allocation_matches_the_reference_greedy(team, use_residual, fractions):
+    """Grants are ``==`` the historical max-per-grant loop, errors alike,
+    and one capacity read serves any number of requests."""
+    total = sum(
+        m.residual_capacity if use_residual else m.capacity for m in team
+    )
+    # Up to just above the team total: the last two straddle the 1e-6
+    # slack of the up-front check.
+    requirements = [total * f for f in fractions] + [
+        total, total + 5e-7, total + 2e-6,
+    ]
+    shared = TeamCapacity(team, use_residual)
+    for required in requirements:
+        expected = _outcome(
+            lambda r: reference_allocate(team, r, use_residual), required
+        )
+        one_shot = _outcome(
+            lambda r: allocate_capacity(team, r, use_residual), required
+        )
+        assert one_shot == expected
+        assert _outcome(shared.allocate, required) == one_shot

@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.params import FlashFlowParams
-from repro.core.schedule import PeriodSchedule
 from repro.errors import ConfigurationError
 from repro.service.churn import (
     ChurnConfig,
     ChurnEvent,
-    apply_to_schedule,
     churn_events_for_period,
 )
 from repro.service.state import NetworkTable, RelayRow
-from repro.units import gbit, mbit
+from repro.units import mbit
 
 
 def _table(n: int = 10) -> NetworkTable:
@@ -86,42 +83,6 @@ def test_join_collision_is_a_configuration_error():
             [ChurnEvent(kind="join", fingerprint="relay000",
                         capacity=mbit(10), seed=1)]
         )
-
-
-def test_apply_to_schedule_releases_and_reuses_capacity(params):
-    estimates = {f"relay{i:03d}": mbit(100) for i in range(6)}
-    schedule = PeriodSchedule.build(params, gbit(3.0), estimates, seed=b"s")
-    events = [
-        ChurnEvent(kind="leave", fingerprint="relay002"),
-        ChurnEvent(kind="leave", fingerprint="not-scheduled"),
-        ChurnEvent(kind="join", fingerprint="fresh", capacity=mbit(80),
-                   seed=5),
-        ChurnEvent(kind="capacity", fingerprint="relay001", capacity=1.5),
-    ]
-    counts = apply_to_schedule(schedule, events, params.new_relay_seed)
-    assert counts == {"joins": 1, "leaves": 1, "capacity_changes": 1,
-                      "unslotted": 0}
-    assert "relay002" not in schedule.assignments
-    assert schedule.assignments["fresh"].is_new
-
-
-def test_apply_to_schedule_counts_unslottable_joins(params):
-    # A single-slot schedule already holding a full-capacity relay
-    # cannot take any join: it must be counted, not raised.
-    tight = FlashFlowParams(
-        slot_seconds=params.period_seconds, period_seconds=params.period_seconds
-    )
-    schedule = PeriodSchedule.build(
-        tight, gbit(1.0), {"big": gbit(1.0)}, seed=b"t"
-    )
-    counts = apply_to_schedule(
-        schedule,
-        [ChurnEvent(kind="join", fingerprint="fresh", capacity=mbit(10),
-                    seed=1)],
-        tight.new_relay_seed,
-    )
-    assert counts["unslotted"] == 1
-    assert "fresh" not in schedule.assignments
 
 
 NAN, INF = float("nan"), float("inf")

@@ -16,6 +16,7 @@ from repro.api.execution import ExecutionConfig
 from repro.errors import ConfigurationError
 from repro.service import BwauthDaemon, ServiceConfig, run_daemon
 from repro.service.churn import ChurnConfig
+from repro.service.daemon import status
 from repro.service.journal import read_journal
 from repro.service.validate import validate_journal
 
@@ -191,3 +192,57 @@ def test_journal_with_retired_execution_keys_resumes(tmp_path):
             (reference_dir / name).read_bytes(), name
     summary = validate_journal(journal_path)
     assert summary["complete"] is True and summary["resumes"] == 1
+
+
+def _with_schedule_fields(record: dict) -> dict:
+    """A record as the daemon wrote it while it built a §4.3 schedule
+    every period: ``schedule_slots_in_use`` in ``period_completed`` and
+    the schedule's churn counts in ``churn``, in their old positions."""
+    if record["type"] == "period_completed":
+        out = {}
+        for key, value in record.items():
+            if key == "estimates_sha256":
+                out["schedule_slots_in_use"] = record["rounds"] + 2
+            out[key] = value
+        return out
+    if record["type"] == "churn":
+        out = {}
+        for key, value in record.items():
+            if key == "n_relays":
+                out["schedule"] = {**record["table"], "unslotted": 0}
+            out[key] = value
+        return out
+    return record
+
+
+def test_journal_with_schedule_fields_validates_and_resumes(tmp_path):
+    """Journals written while the daemon journaled its unexecuted
+    schedule still validate, summarize and resume byte-identically."""
+    journal_path = tmp_path / "svc.jsonl"
+    daemon = run_daemon(config(periods=3), journal_path=journal_path)
+    legacy = tmp_path / "legacy.jsonl"
+    records = [
+        _with_schedule_fields(json.loads(line))
+        for line in journal_path.read_text(encoding="utf-8").splitlines()
+    ]
+    lines = [json.dumps(record) for record in records]
+    legacy.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = legacy.read_text()
+    assert text.count('"schedule_slots_in_use"') == 3
+    assert text.count('"schedule": {') == 2
+
+    assert validate_journal(legacy)["complete"] is True
+    assert status(legacy) == status(journal_path)
+
+    # Resume from the snapshot written at the period-2 boundary.
+    cut = next(
+        i for i, record in enumerate(records)
+        if record["type"] == "snapshot" and record["next_period"] == 2
+    )
+    legacy.write_text("\n".join(lines[: cut + 1]) + "\n", encoding="utf-8")
+    resumed = BwauthDaemon.resume(legacy)
+    assert resumed.next_period == 2
+    resumed.run()
+    resumed.close()
+    assert resumed.published == [(2, dict(daemon.published)[2])]
+    assert validate_journal(legacy)["complete"] is True

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -154,3 +155,56 @@ def test_service_cli_rejects_a_nan_join_rate(tmp_path, capsys):
     )
     assert code == 1
     assert "error: join_rate" in capsys.readouterr().err
+
+
+def _unknown_churn_key(config):
+    config["churn"]["bogus"] = 1
+
+
+def _missing_periods(config):
+    del config["periods"]
+
+
+def _unknown_execution_key(config):
+    config["execution"]["bogus"] = 1
+
+
+def _misspelt_config_key(config):
+    config["publish_evry"] = config.pop("publish_every")
+
+
+@pytest.mark.parametrize("command", ["resume", "status"])
+@pytest.mark.parametrize("corrupt,message", [
+    (_unknown_churn_key, "churn config key.*'bogus'"),
+    (_missing_periods, "missing 'periods'"),
+    (_unknown_execution_key, "execution config key.*'bogus'"),
+    (_misspelt_config_key, "service config key.*'publish_evry'"),
+], ids=[
+    "unknown-churn-key", "missing-periods", "unknown-execution-key",
+    "misspelt-config-key",
+])
+def test_malformed_journal_config_is_an_error_not_a_traceback(
+    tmp_path, capsys, command, corrupt, message
+):
+    """A journal whose config cannot load used to kill ``resume`` and
+    ``status`` with a ``TypeError`` or ``KeyError`` traceback, and a
+    misspelt key was ignored: ``publish_evry`` resumed publishing every
+    period."""
+    _, journal_path = _run(tmp_path)
+    records = [
+        json.loads(line) for line in journal_path.read_text().splitlines()
+    ]
+    for record in records:
+        if record.get("config") is not None:
+            corrupt(record["config"])
+    journal_path.write_text(
+        "\n".join(json.dumps(r) for r in records) + "\n"
+    )
+    assert service_main([command, "--journal", str(journal_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert re.search(message, err), err
+    with pytest.raises(
+        JournalValidationError, match=f"unloadable snapshot: .*{message}"
+    ):
+        validate_journal(journal_path)

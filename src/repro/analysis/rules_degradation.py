@@ -4,7 +4,7 @@
 ``raise`` anywhere in its body) must leave evidence: increment a metrics
 counter (``.inc(...)`` / ``.observe(...)`` on a registry instrument) or
 fire a one-shot ``warn_once``. A degradation that changes the execution
-strategy -- a spec leaving the kernel for the stateful path, say --
+strategy -- a batch leaving the vectorized walk for a slower one, say --
 keeps results correct by design, but *silently* taking the slow path is
 how perf regressions and environment breakage hide for months.
 
@@ -12,11 +12,12 @@ how perf regressions and environment breakage hide for months.
 backend's two fallbacks (shared memory falling back to pickling, a
 worker pool rebuilt after a crash): each counted the event *and* fired a
 ``DegradationWarning`` via ``warn_once``. This rule generalizes it to
-every handler that swallows. The kernel's stateful fallback
-(:func:`repro.kernel.run_specs`, counted in ``kernel.specs.fallback``)
-keeps the same contract without an ``except``. CLI ``__main__`` modules
-are exempt: converting an exception into an error message and a
-nonzero exit *is* the evidence there.
+every handler that swallows. The kernel no longer degrades at all: a
+relay it cannot compile raises a ``ConfigurationError`` naming the
+relay (:func:`repro.kernel.run_specs`) instead of falling back to a
+second walk. CLI ``__main__`` modules are exempt: converting an
+exception into an error message and a nonzero exit *is* the evidence
+there.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """FF001: no SIMD numpy transcendentals in bit-identity-critical modules.
 
-**Invariant.** ``np.exp``/``np.log``/``np.power`` and friends evaluate
-through SIMD polynomial kernels that are *not* bit-identical to CPython's
-libm-backed ``math.exp``/``math.log``/``**`` on every box. Any module
+**Invariant.** ``np.exp``/``np.log``/``np.power`` and friends -- the
+trigonometric and hyperbolic functions, ``cbrt``, ``logaddexp`` and
+``float_power`` too, and numpy 2's ``np.pow``/``np.asin``/... aliases --
+evaluate through SIMD polynomial kernels that are *not* bit-identical to
+CPython's libm-backed ``math.exp``/``math.sin``/``**`` on every box. Any
+module
 whose contract is exact ``==`` equality with a scalar reference walk must
 apply transcendentals with scalar ``math`` calls (elementwise if needed);
 everything else in numpy (mul/add/div, gathers, ``np.minimum``,
@@ -21,14 +24,26 @@ from typing import Iterator
 
 from repro.analysis.core import Finding, LintContext, register_rule
 
-#: Modules whose contract is bit-identity with a scalar reference path.
-CRITICAL_MODULES = ("repro.kernel", "repro.shadow.flows",
+#: Modules whose contract is bit-identity with a scalar reference path
+#: (``repro.rng`` is where batched draws replay ``random.Random``).
+CRITICAL_MODULES = ("repro.kernel", "repro.rng", "repro.shadow.flows",
                     "repro.tornet.columnar")
 
-#: numpy functions with SIMD kernels that diverge from scalar libm.
-TRANSCENDENTALS = frozenset(
-    {"exp", "exp2", "expm1", "log", "log1p", "log2", "log10", "power"}
-)
+#: numpy functions with SIMD kernels that diverge from scalar libm,
+#: mapped to the scalar ``math`` function(s) to apply instead.
+TRANSCENDENTALS = {
+    "exp": "exp", "exp2": "exp2", "expm1": "expm1",
+    "log": "log", "log1p": "log1p", "log2": "log2", "log10": "log10",
+    "logaddexp": "log`/`math.exp", "logaddexp2": "log2`/`math.exp2",
+    "power": "pow", "pow": "pow", "float_power": "pow", "cbrt": "cbrt",
+    "sin": "sin", "cos": "cos", "tan": "tan",
+    "arcsin": "asin", "arccos": "acos", "arctan": "atan",
+    "arctan2": "atan2",
+    "asin": "asin", "acos": "acos", "atan": "atan", "atan2": "atan2",
+    "sinh": "sinh", "cosh": "cosh", "tanh": "tanh",
+    "arcsinh": "asinh", "arccosh": "acosh", "arctanh": "atanh",
+    "asinh": "asinh", "acosh": "acosh", "atanh": "atanh",
+}
 
 
 def _in_critical_module(module: str) -> bool:
@@ -55,6 +70,6 @@ def check_numpy_transcendentals(ctx: LintContext) -> Iterator[Finding]:
                 node, "FF001",
                 f"SIMD numpy transcendental `{resolved}` in "
                 f"bit-identity-critical module {ctx.module}; apply scalar "
-                f"`math.{leaf if leaf != 'power' else 'pow'}` elementwise "
+                f"`math.{TRANSCENDENTALS[leaf]}` elementwise "
                 "instead (the PR 4/PR 6 transcendental trap)",
             )

@@ -171,9 +171,13 @@ class AdversarySpec:
     """One adversarial population: a behaviour and its relay fraction.
 
     ``behavior`` is a registered name (``traffic-liar``,
-    ``ratio-cheater``, ``forger``, ``selective-capacity``) or a factory
-    ``seed -> RelayBehavior`` for custom behaviours; the factory
-    receives a deterministic per-relay seed.
+    ``ratio-cheater``, ``forger``, ``selective-capacity``,
+    ``collusion``) or a factory ``seed -> RelayBehavior`` for custom
+    behaviours; the factory receives a deterministic per-relay seed.
+    A custom behaviour must publish a
+    :class:`~repro.tornet.relay.BehaviorProgram` through
+    ``kernel_program()``: full-simulation campaigns refuse a relay whose
+    behaviour has none with a ``ConfigurationError``.
     """
 
     behavior: str | Callable[[int], RelayBehavior]

@@ -16,17 +16,20 @@ bound (paper §5). The ``collusion-attack`` registry scenario asserts
 exactly that, and contrasts it with TorFlow's self-report scaling,
 where the same collusion yields unbounded inflation.
 
-The behaviour is *genuinely stateful across relays* -- each report
-depends on what the other group members forwarded during their own
-measurements -- so :meth:`CollusionBehavior.kernel_program` inherits
-the base ``None`` answer and these specs always take the engine's
-stateful fallback path. That is by design: the compiled kernel only
-ever lowers per-relay programs (see :mod:`repro.kernel`).
+Each report depends on what the other group members forwarded during
+their own measurements, yet it still compiles: no peer is walked during
+a colluder's slot, so the pooled claim is the same every second of it.
+:meth:`CollusionBehavior.kernel_program` reads the group's ledger when
+the slot compiles and hands the kernel a constant
+``background_report_offset``. The group is the behaviour's
+:attr:`~repro.tornet.relay.RelayBehavior.ledger`, so the kernel runs
+clique members of one batch in ordered waves (see :mod:`repro.kernel`),
+each slot compiling after its earlier peers settled.
 """
 
 from __future__ import annotations
 
-from repro.tornet.relay import Relay, RelayBehavior
+from repro.tornet.relay import BehaviorProgram, Relay, RelayBehavior
 
 
 class CollusionGroup:
@@ -73,12 +76,21 @@ class CollusionBehavior(RelayBehavior):
     def note_measurement(self, measurement_bytes: float, relay: Relay) -> None:
         self._last_measurement_bytes = measurement_bytes
 
+    @property
+    def ledger(self) -> CollusionGroup | None:
+        return self._group
+
     def report_background(self, actual_bytes: float, relay: Relay) -> float:
         assert self._group is not None
         return actual_bytes + self._group.pooled_bytes(excluding=self)
 
-    # kernel_program is intentionally NOT overridden: reports depend on
-    # cross-relay state, so the spec must stay on the stateful path.
+    def kernel_program(self) -> BehaviorProgram:
+        # The peers' bytes as they stand when the slot compiles: the
+        # offset report_background adds every second of the slot.
+        assert self._group is not None
+        return BehaviorProgram(
+            background_report_offset=self._group.pooled_bytes(excluding=self)
+        )
 
 
 class CollusionFactory:

@@ -46,7 +46,7 @@ from repro.core.netmeasure import CampaignResult, measure_network
 from repro.core.params import FlashFlowParams
 from repro.core.schedule import PeriodSchedule, greedy_pack_slots
 from repro.core.session import MeasurementSession, SessionTranscript
-from repro.core.verification import EchoVerifier, detection_probability
+from repro.core.verification import detection_probability
 
 __all__ = [
     "BandwidthFile",
@@ -57,7 +57,6 @@ __all__ = [
     "allocate_evenly",
     "BandwidthLine",
     "CampaignResult",
-    "EchoVerifier",
     "FlashFlowAuthority",
     "FlashFlowParams",
     "MeasurementEngine",

@@ -202,11 +202,11 @@ class MeasurementSession:
         """Run one measurement with full protocol choreography.
 
         Drives the signed message flow (ANNOUNCE / ACCEPT / INSTRUCT /
-        per-second reports / END) around an engine execution: the engine
-        feeds each second's per-measurer received bytes and the relay's
-        report back into this session's transcript, so the result is a
-        complete, verifiable log of the measurement that produced the
-        returned outcome.
+        per-second reports / END) around an engine execution: after the
+        walk, the engine replays each second's per-measurer received
+        bytes and the relay's report into this session's transcript, so
+        the result is a complete, verifiable log of the measurement that
+        produced the returned outcome.
         """
         engine = engine or default_engine()
         params = spec.params or engine.params or FlashFlowParams()

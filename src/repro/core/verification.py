@@ -5,29 +5,19 @@ the measurer records the contents of each cell sent with probability p
 (e.g., p = 1e-5) and checks that the returned content of such cells is
 correct, reporting failure from the measurement if not."
 
-The verifier operates on real cell bytes: for each sampled cell it builds
-a random-payload MEASURE cell, asks the relay to process it (decrypt +
-echo), and compares the result against the locally computed decryption. A
-relay that forges k responses evades detection with probability (1-p)^k
-(paper §5); :func:`detection_probability` exposes the closed form used by
-the security analysis benches.
+The kernel replays verification from each walk's measurement series
+(:mod:`repro.kernel.supply`): :func:`sample_cell_count` draws how many of
+a second's cells get checked, and each checked cell costs one real
+decryption with the circuit key. A relay that forges k responses evades
+detection with probability (1-p)^k (paper §5);
+:func:`detection_probability` exposes the closed form used by the
+security analysis benches.
 """
 
 from __future__ import annotations
 
 import math
 import random
-
-from repro.errors import VerificationFailure
-from repro.rng import seed_from
-from repro.tornet.cell import PAYLOAD_LEN, Cell
-from repro.tornet.relay import Relay
-from repro.tornet.relaycrypto import CircuitKey, establish_circuit_key
-
-#: Fallback seed for the sampled-cell payload stream when a verifier is
-#: built without an explicit ``payload_rng`` (direct unit-test use).
-#: The engine always passes the measurement's ``verify-payload-*`` fork.
-_DEFAULT_PAYLOAD_SEED = seed_from(0, "verify-payload")
 
 
 def detection_probability(p_check: float, forged_cells: int) -> float:
@@ -51,10 +41,10 @@ def sample_cell_count(
     """How many of ``cells_sent`` cells get recorded for checking.
 
     Binomial(n, p) with tiny p, sampled via Poisson inversion (normal
-    approximation above expected 50). Module-level so the vectorized
-    measurement kernel (:mod:`repro.kernel.supply`) can replay the exact
-    draw sequence of :meth:`EchoVerifier.sample_count` outside a verifier
-    instance.
+    approximation above expected 50). The kernel's verification replay
+    (:mod:`repro.kernel.supply`) calls it once per walked second, and the
+    stateful reference verifier draws through it too, so both consume
+    the ``verify-*`` stream draw for draw.
     """
     if cells_sent <= 0:
         return 0
@@ -71,67 +61,3 @@ def sample_cell_count(
         term *= expected / k
         cumulative += term
     return k
-
-
-class EchoVerifier:
-    """Per-measurement verification state for one measuring process."""
-
-    def __init__(self, p_check: float, rng: random.Random,
-                 key: CircuitKey | None = None,
-                 payload_rng: random.Random | None = None):
-        if not 0 <= p_check <= 1:
-            raise ValueError("p_check must be a probability")
-        self.p_check = p_check
-        self._rng = rng
-        # Sampled-cell payloads come from their own seeded stream, not
-        # ``os.urandom`` (reproducible transcripts) and not ``rng`` (the
-        # ``verify-*`` sample-count stream's positions must not move --
-        # the kernel replay consumes that stream draw-for-draw).
-        if payload_rng is None:
-            payload_rng = random.Random(_DEFAULT_PAYLOAD_SEED)
-        self._payload_rng = payload_rng
-        if key is None:
-            key, _ = establish_circuit_key()
-        self.key = key
-        self.cells_checked = 0
-        self.cells_failed = 0
-        self._next_cell_index = 0
-
-    def sample_count(self, cells_sent: int) -> int:
-        """How many of ``cells_sent`` cells get recorded this second.
-
-        Binomial(n, p) sampled exactly for small n, via the normal
-        approximation guard for large n (p is tiny, so a Poisson draw is
-        appropriate and cheap).
-        """
-        return sample_cell_count(self._rng, cells_sent, self.p_check)
-
-    def check_cells(self, relay: Relay, n_cells: int, circ_id: int = 1) -> int:
-        """Send ``n_cells`` sampled cells through the relay and verify.
-
-        Returns the number of cells checked; raises
-        :class:`VerificationFailure` on the first mismatch (the BWAuth
-        ends the measurement early, paper §4.1).
-        """
-        for _ in range(n_cells):
-            index = self._next_cell_index
-            self._next_cell_index += 1
-            payload = self._payload_rng.randbytes(PAYLOAD_LEN)
-            cell = Cell.measurement(circ_id, payload)
-            expected = self.key.process(payload, index)
-            echoed = relay.process_measurement_cell(cell, self.key, index)
-            self.cells_checked += 1
-            if echoed.payload != expected:
-                self.cells_failed += 1
-                raise VerificationFailure(
-                    f"echo cell {index} failed content check",
-                    relay_fingerprint=relay.fingerprint,
-                )
-        return n_cells
-
-    def verify_second(self, relay: Relay, measurement_bytes: float) -> int:
-        """Run this second's sampled checks for ``measurement_bytes`` echoed."""
-        from repro.units import CELL_LEN
-
-        cells_sent = int(measurement_bytes // CELL_LEN)
-        return self.check_cells(relay, self.sample_count(cells_sent))

@@ -2,12 +2,12 @@
 
 Fast campaign sweeps and multi-period deployments run with
 ``full_simulation=False``: instead of the per-second traffic walk, every
-measurement of a round collapses to the engine's closed-form
-:meth:`repro.core.engine.MeasurementEngine.analytic_estimate` -- the
-supply-limited, wobbled true capacity -- plus the BWAuth's accept/retry
-decision against the acceptance threshold. The historical path walked
-that round in scalar Python, one ``analytic_estimate`` call and one
-``acceptance_threshold`` recomputation per job.
+measurement of a round collapses to a closed-form estimate -- the
+supply-limited, wobbled true capacity ``min(capacity * wobble,
+allocated / m)`` -- plus the BWAuth's accept/retry decision against the
+acceptance threshold. The historical path walked that round in scalar
+Python, one ``analytic_estimate`` call and one ``acceptance_threshold``
+recomputation per job.
 
 This module lowers a whole round at once, the same recipe
 :mod:`repro.kernel.supply` applies to the full-simulation walk:
@@ -27,12 +27,12 @@ This module lowers a whole round at once, the same recipe
 Every array op mirrors the scalar arithmetic operation for operation
 (IEEE-754 double multiply/divide/compare, ``np.minimum`` == ``min`` for
 non-NaN inputs), so estimates, thresholds, and accept decisions are
-**bit-identical** to the stateful ``analytic_estimate`` loop -- the
+**bit-identical** to the scalar ``analytic_estimate`` loop -- the
 oracle suite in ``tests/kernel/test_analytic.py`` asserts exact ``==``.
 
 The historical scalar loop -- one ``analytic_estimate`` call per job --
-stays in :class:`~repro.core.engine.MeasurementEngine` as the reference
-the oracle suite compares against.
+lives in ``tests/oracles/stateful_engine.py`` as the reference the
+oracle suite compares against.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ class AnalyticRoundResult:
 def _true_capacities(jobs: Sequence) -> Iterator[float]:
     """``job.relay.true_capacity`` per job, property machinery inlined.
 
-    The kernel idiom (:mod:`repro.kernel.supply` mirrors
-    ``Relay.measured_second`` the same way): reproduce the stateful
+    The kernel idiom (:mod:`repro.kernel.supply` mirrors the stateful
+    per-second walk the same way): reproduce the stateful
     arithmetic -- here :attr:`Relay.true_capacity`'s
     min(CPU, link, rate-limit) chain -- without per-job descriptor and
     call overhead. The oracle suite asserts this matches the property
@@ -158,8 +158,8 @@ def execute_analytic_round(
 
     Op for op the scalar path's arithmetic:
 
-    - estimate: ``min(capacity * wobble, allocated / m)``
-      (:meth:`MeasurementEngine.analytic_finish`),
+    - estimate: ``min(capacity * wobble, allocated / m)`` (the scalar
+      reference's ``analytic_finish``),
     - threshold: ``allocated * (1 - eps1) / m``
       (:meth:`FlashFlowParams.acceptance_threshold`),
     - accept: ``z < threshold or capped`` (the campaign fold).
@@ -184,8 +184,8 @@ def run_analytic_round(
 ) -> AnalyticRoundResult:
     """Run one round of analytic estimates as one compiled array walk.
 
-    Bit-identical to calling :meth:`MeasurementEngine.analytic_estimate`
-    once per job and recomputing each accept decision.
+    Bit-identical to one scalar ``analytic_estimate`` call per job plus
+    each accept decision recomputed.
     """
     params = params or engine.params or FlashFlowParams()
     with get_tracer().span("round.analytic", n_jobs=len(jobs)):

@@ -4,8 +4,8 @@
 engine's prepared inputs (:meth:`MeasurementEngine.prepare_inputs`) into
 a :class:`CompiledMeasurement`: the arrays one measurement's per-second
 walk reads, plus the process's live circuit key. Compilation performs
-**every RNG draw** the stateful engine path makes before its walk, in
-the same order on the same forked streams:
+**every RNG draw** the stateful reference walk makes before its first
+second, in the same order on the same forked streams:
 
 1. the environment factor and per-assignment path qualities (inside
    ``prepare_inputs``),
@@ -25,14 +25,16 @@ effects (token bucket level, observed-bandwidth history) are settled
 back onto the live relay by the caller from the walk's results.
 
 Relay behaviours compile through the
-:meth:`repro.tornet.relay.RelayBehavior.kernel_program` protocol: any
-behaviour describing its walk as a :class:`repro.tornet.relay.\
-BehaviorProgram` -- the honest default and the four common §5 attacks
-(traffic liar, ratio cheater, forger, selective capacity) -- lowers into
-the array walk; behaviours returning ``None`` (genuinely stateful custom
-subclasses, e.g. cross-relay colluders), and specs carrying a transcript
-session, are *not* compilable: they return ``None`` here and the caller
-falls back to the stateful :meth:`MeasurementEngine.run` path.
+:meth:`repro.tornet.relay.RelayBehavior.kernel_program` protocol: the
+honest default, the four common §5 attacks (traffic liar, ratio cheater,
+forger, selective capacity) and the colluding clique each describe their
+walk as a :class:`repro.tornet.relay.BehaviorProgram`. A behaviour that
+returns ``None`` -- a custom subclass that does not opt in -- cannot be
+measured: :func:`program_of` raises a
+:class:`~repro.errors.ConfigurationError` naming the relay and the
+behaviour class. A spec carrying a transcript session also keeps each
+assignment's per-second supply part, from which the caller replays the
+session's signed reports after the walk.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ from repro.core.engine import (
     MeasurementSpec,
     assignment_caps,
 )
+from repro.errors import ConfigurationError
 from repro.rng import seed_from
 from repro.tornet.columnar import noise_row
-from repro.tornet.relay import HONEST_PROGRAM, BehaviorProgram
+from repro.tornet.relay import HONEST_PROGRAM, BehaviorProgram, Relay
 from repro.tornet.relaycrypto import CircuitKey
 
 
@@ -103,42 +106,43 @@ class CompiledMeasurement:
     #: a copy and the caller settles it back via
     #: :meth:`RelayBehavior.settle_verify_replay`.
     behavior_rng_state: tuple | None = None
+    #: (measurer name, per-second supply part) per active assignment, in
+    #: assignment order; kept only for specs with a transcript session.
+    #: The parts sum, in this order, to ``supply``.
+    session_parts: list[tuple[str, np.ndarray]] | None = None
 
 
-def is_compilable(engine: MeasurementEngine, spec: MeasurementSpec) -> bool:
-    """Whether the kernel can reproduce this spec's walk in closed form.
+def program_of(relay: Relay) -> BehaviorProgram:
+    """The kernel program of ``relay``'s behaviour.
 
-    A spec compiles when its behaviour publishes a
-    :class:`BehaviorProgram` (honest and the four common attacks);
-    behaviours whose :meth:`RelayBehavior.kernel_program` returns
-    ``None`` -- any custom subclass that does not opt in -- stay on the
-    stateful fallback, as do transcript sessions.
+    Raises :class:`ConfigurationError` naming the relay and the
+    behaviour class when the behaviour publishes none (a custom
+    :class:`~repro.tornet.relay.RelayBehavior` subclass that does not
+    override ``kernel_program``).
     """
-    if spec.session is not None:
-        return False
-    if spec.target.behavior.kernel_program() is None:
-        return False
-    if spec.verify and not engine.reuse_circuit_keys:
-        # A per-measurement DH handshake is part of the stateful path's
-        # simulated work; don't silently skip it.
-        return False
-    return True
+    program = relay.behavior.kernel_program()
+    if program is None:
+        raise ConfigurationError(
+            f"relay {relay.fingerprint!r}: behaviour "
+            f"{type(relay.behavior).__name__} publishes no kernel program; "
+            "override RelayBehavior.kernel_program to describe its walk "
+            "as a BehaviorProgram"
+        )
+    return program
 
 
 def compile_measurement(
     engine: MeasurementEngine,
     spec: MeasurementSpec,
     index: int = 0,
-) -> CompiledMeasurement | None:
-    """Lower ``spec`` to a :class:`CompiledMeasurement`, or ``None``.
+) -> CompiledMeasurement:
+    """Lower ``spec`` to a :class:`CompiledMeasurement`.
 
-    Must be called in the same relative order as the stateful path would
-    have run the spec: it consumes the measurement RNG stream, the
-    relay's jitter stream, and the relay's admission state.
+    Must be called in the order the specs would run one after another:
+    it consumes the measurement RNG stream, the relay's jitter stream,
+    the relay's admission state, and (through the behaviour's program)
+    its ledger.
     """
-    if not is_compilable(engine, spec):
-        return None
-
     inputs = engine.prepare_inputs(spec)
     params, duration, target = inputs.params, inputs.duration, spec.target
 
@@ -161,9 +165,9 @@ def compile_measurement(
             outcome=inputs.outcome,
         )
 
-    # Engine supply noise, drawn where MeasurementEngine.execute draws
-    # it: straight after prepare on the measurement stream, second-major
-    # and assignment-minor, then summed per second in assignment order.
+    # Supply noise, drawn where the stateful walk draws it: straight
+    # after prepare on the measurement stream, second-major and
+    # assignment-minor, then summed per second in assignment order.
     entries = inputs.entries
     n_draws = duration * len(entries)
     gauss, noise_std = inputs.rng.gauss, inputs.noise.supply_noise_std
@@ -173,6 +177,7 @@ def compile_measurement(
         count=n_draws,
     ).reshape(duration, len(entries))
     supply = np.zeros(duration)
+    session_parts = [] if spec.session is not None else None
     for column, (a, path, quality) in enumerate(entries):
         caps = assignment_caps(
             path,
@@ -185,10 +190,13 @@ def compile_measurement(
             quality,
             inputs.efficiency,
         )
-        supply += np.asarray(caps, dtype=np.float64) * draws[:, column]
+        part = np.asarray(caps, dtype=np.float64) * draws[:, column]
+        supply += part
+        if session_parts is not None:
+            session_parts.append((a.measurer.name, part))
 
     # Relay-side jitter from the relay's own stream, folded with the
-    # environment factor exactly as measured_second does (noise *
+    # environment factor exactly as the stateful walk does (noise *
     # external_factor, then capacity *= that product).
     noise_env = noise_row(target, duration) * inputs.env
 
@@ -216,9 +224,10 @@ def compile_measurement(
 
     # The behaviour's closed-form walk; fetched after prepare_inputs so
     # slot-constant decisions (begin_measurement's selective roll) have
-    # already landed in base_capacity. Forgers also hand over their RNG
+    # already landed in base_capacity, and at compile time so a ledger
+    # reads its peers as they stand now. Forgers also hand over their RNG
     # state: the verification replay consumes forge decisions from a copy.
-    program = target.behavior.kernel_program()
+    program = program_of(target)
     behavior_rng_state = (
         target.behavior._rng.getstate()
         if program.forge_fraction is not None and spec.verify
@@ -244,4 +253,5 @@ def compile_measurement(
         key=key,
         program=program,
         behavior_rng_state=behavior_rng_state,
+        session_parts=session_parts,
     )

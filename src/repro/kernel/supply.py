@@ -6,33 +6,32 @@ under the KIST/CPU/link base cap, times jitter and environment),
 measurement/background split via the ratio-r clamp, bucket settlement,
 and the BWAuth-side clamp are elementwise float64 operations across all
 measurements at once. Every operation mirrors the exact arithmetic of
-:meth:`repro.tornet.relay.Relay.measured_second` +
-:meth:`repro.core.engine.MeasurementEngine.execute`, in the same order,
-so each element of the walk is bit-identical to the stateful path.
+the stateful per-second reference walk (a relay's measured second plus
+the BWAuth's accounting, kept in ``tests/oracles/stateful_engine.py``),
+in the same order, so each element of the walk is bit-identical to it.
 Every input arrives as a compiled array (the measurers' per-second
 supply, jitter x environment, background demand), so the walk itself
 draws no randomness outside the verification replay below.
 
 Adversarial behaviours compiled through
 :class:`repro.tornet.relay.BehaviorProgram` run in the same walk as
-separate lanes: non-ratio-enforcing relays take the
-``measured_second`` else-branch split, liars scale the reported
-background, and ratio cheaters derive their claim from measurement
-traffic -- each lane's op chain mirrors the stateful behaviour hook
+separate lanes: non-ratio-enforcing relays take the ratio-ignoring
+split, liars scale the reported background, ratio cheaters derive their
+claim from measurement traffic, and colluders add their clique's pooled
+bytes -- each lane's op chain mirrors the stateful behaviour hook
 exactly, selected per measurement with ``np.where``.
 
 Echo-cell verification is replayed afterwards from the walk's
 measurement series: the per-second sample counts consume the
-measurement's ``verify-*`` RNG stream exactly as
-:class:`repro.core.verification.EchoVerifier` would, and each sampled
-cell performs the honest encrypt/echo/compare round trip with the
-process's shared circuit key (compiled in as ``CompiledMeasurement.key``),
-so ``cells_checked`` (and the simulated crypto work) match the stateful
-path. Honest relays by construction never fail the check;
-forging relays replay their forge decisions from the behaviour's
-compiled RNG state, and the first forged checked cell fails the
-measurement exactly as the stateful :class:`EchoVerifier` would
-(truncated series, zero estimate, the same failure message).
+measurement's ``verify-*`` RNG stream exactly as a per-second echo-cell
+verifier would, and each sampled cell performs the relay-side
+decryption with the process's shared circuit key (compiled in as
+``CompiledMeasurement.key``), so ``cells_checked`` (and the simulated
+crypto work) match the stateful reference. Honest relays by
+construction never fail the check; forging relays replay their forge
+decisions from the behaviour's compiled RNG state, and the first forged
+checked cell fails the measurement exactly as the stateful verifier
+would (truncated series, zero estimate, the same failure message).
 
 The walk returns, besides the outcome, the relay-state deltas (final
 bucket tokens, per-second forwarded bytes) the caller settles back onto
@@ -74,8 +73,8 @@ class KernelResult:
     duration: int = 0
     total_allocated: float = 0.0
     #: Per-second series (bit/s): measurement x_j, reported background,
-    #: clamped background, totals z_j, and relay capacity (the
-    #: SecondReport.capacity_bits oracle series).
+    #: clamped background, totals z_j, and relay capacity (the stateful
+    #: reference walk's per-second capacity).
     measurement: np.ndarray = field(default_factory=lambda: _EMPTY)
     background_reported: np.ndarray = field(default_factory=lambda: _EMPTY)
     background_clamped: np.ndarray = field(default_factory=lambda: _EMPTY)
@@ -133,12 +132,13 @@ def _verify_replay(
 ) -> _ReplayResult:
     """Replay per-second echo-cell verification.
 
-    Consumes the ``verify-*`` stream exactly like
-    ``EchoVerifier.verify_second`` + ``check_cells``: one sample-count
-    draw sequence per second, then the relay-side decryption per sampled
-    cell, whose payload comes from the measurement's dedicated
-    ``verify-payload-*`` stream (the same bytes, in the same order, the
-    stateful verifier's ``payload_rng`` draws -- never ambient entropy). An honest relay's echo is *defined* as the local decryption,
+    Consumes the ``verify-*`` stream exactly like a stateful per-second
+    verifier: one sample-count draw sequence per second, then the
+    relay-side decryption per sampled cell, whose payload comes from the
+    measurement's dedicated ``verify-payload-*`` stream (the same bytes,
+    in the same order, the stateful verifier's ``payload_rng`` draws --
+    never ambient entropy). An honest relay's echo is *defined* as the
+    local decryption,
     so the measurer-side comparison would compare the decryption against
     itself; the replay performs the decryption work once and counts the
     cell as checked -- same cells checked, no possible failure.
@@ -232,8 +232,13 @@ def _walk_group(
         [cm.program.measurement_claim_factor or 0.0 for cm in cms],
         dtype=np.float64,
     )
+    offset = np.array(
+        [cm.program.background_report_offset for cm in cms], dtype=np.float64
+    )
+    has_offset = offset != 0.0
     honest_split = bool(enforces.all())
     any_claim = bool(has_claim.any())
+    any_offset = bool(has_offset.any())
 
     xs = np.empty((n, duration))
     ys_raw = np.empty((n, duration))
@@ -247,8 +252,8 @@ def _walk_group(
     tokens_history = np.empty((n, duration)) if any_bucket else None
 
     for second in range(duration):
-        # Relay.measured_second: capacity = min(base, bucket peek), then
-        # *= noise * external_factor.
+        # The relay's measured second: capacity = min(base, bucket peek),
+        # then *= noise * external_factor.
         if any_bucket:
             avail_bits = available_second_array(tokens, rate) * 8.0
             capacity = np.where(
@@ -274,8 +279,7 @@ def _walk_group(
             meas_h = np.minimum(supply_s, capacity - bg_h)
             bg_h = np.minimum(bg_h, meas_h * ratio / one_minus_r)
             meas_h = np.minimum(supply_s, capacity - bg_h)
-            # Ratio-ignoring lanes: everything to measurement traffic
-            # (measured_second's else-branch).
+            # Ratio-ignoring lanes: everything to measurement traffic.
             meas_n = np.minimum(supply_s, capacity)
             bg_n = np.minimum(
                 demand, np.maximum(0.0, capacity - meas_n)
@@ -304,6 +308,9 @@ def _walk_group(
             reported = np.where(
                 has_claim, meas_bytes * claim_factor, reported
             )
+        if any_offset:
+            # Colluders add their peers' pooled measurement bytes.
+            reported = np.where(has_offset, reported + offset, reported)
         reported_bytes = (reported * 8.0) / 8.0
         x_bits = meas_bytes * 8.0
         y_bits = reported_bytes * 8.0

@@ -9,8 +9,8 @@ A zero-dependency observability subsystem with three pillars:
   ``ExecutionConfig(trace=PATH)`` (or ``python -m repro.api --trace``)
   installs a recording tracer streaming to a JSONL file.
 - **metrics** (:mod:`repro.obs.metrics`): counters / gauges /
-  histograms at the choke points -- rounds retried, stateful-path
-  fallbacks, shadow churns -- plus :func:`warn_once` so silent
+  histograms at the choke points -- rounds retried, specs compiled,
+  shadow churns -- plus :func:`warn_once` so silent
   degradations surface exactly once per process.
 - **exporters** (:mod:`repro.obs.export`): the incremental
   ``flashflow-trace/1`` JSONL writer with a run manifest (seed,

@@ -1,16 +1,16 @@
 """A zero-dependency metrics registry: counters, gauges, histograms.
 
 Instrumented at the campaign/kernel choke points -- rounds retried,
-specs fallen back to the stateful path, shadow churns -- at round
-granularity, never per second, so the always-on cost is a dict lookup
-and an integer add per event.
+specs compiled, shadow churns -- at round granularity, never per
+second, so the always-on cost is a dict lookup and an integer add per
+event.
 
 Two registries matter in practice:
 
 - the **global registry** (:func:`get_registry`): the process-wide
-  sink the kernel's counters land in (``kernel.specs.fallback``,
-  ``engine.stateful_rounds``). Trace exporters snapshot it into the
-  trace file; tests
+  sink the kernel's and the campaign's counters land in
+  (``kernel.specs.compiled``, ``campaign.*``). Trace exporters snapshot
+  it into the trace file; tests
   :func:`reset_registry` around assertions.
 - **private registries**: :class:`repro.api.events.MetricsObserver`
   and friends each own one, so per-campaign numbers never mix with

@@ -56,6 +56,19 @@ _RETIRED_EXECUTION_KEYS = frozenset(
 )
 
 
+def _require_keys(record, keys, what: str) -> None:
+    """Raise :class:`ConfigurationError` naming the first key of ``keys``
+    that ``record`` (a loaded JSON object) lacks, instead of the bare
+    ``KeyError`` indexing it would raise."""
+    if not isinstance(record, dict):
+        raise ConfigurationError(
+            f"{what} must be an object, got {type(record).__name__}"
+        )
+    for key in keys:
+        if key not in record:
+            raise ConfigurationError(f"{what} is missing {key!r}")
+
+
 @dataclass(frozen=True)
 class RelayRow:
     """Everything needed to materialize one relay, as plain data."""
@@ -181,6 +194,7 @@ class NetworkTable:
 
     @classmethod
     def from_dict(cls, record: dict) -> "NetworkTable":
+        _require_keys(record, ("rows",), "network table")
         rows = [RelayRow.from_list(row) for row in record["rows"]]
         return cls({row.fingerprint: row for row in rows})
 
@@ -279,9 +293,9 @@ class ServiceConfig:
     @classmethod
     def from_dict(cls, record: dict) -> "ServiceConfig":
         _check_record(record, [f.name for f in fields(cls)], "service config")
-        for key in ("scenario", "periods", "period_seconds"):
-            if key not in record:
-                raise ConfigurationError(f"service config is missing {key!r}")
+        _require_keys(
+            record, ("scenario", "periods", "period_seconds"), "service config"
+        )
         churn = record.get("churn")
         execution = record.get("execution", {})
         _check_record(
@@ -346,6 +360,7 @@ class Snapshot:
                 f"snapshot schema {record.get('schema')!r} is not "
                 f"{SERVICE_SCHEMA!r}"
             )
+        _require_keys(record, ("next_period", "table"), "snapshot")
         config = record.get("config")
         return cls(
             next_period=int(record["next_period"]),

@@ -22,7 +22,7 @@ from repro.tornet.meassched import measurement_rate_cap
 from repro.tornet.network import TorNetwork, synthesize_network
 from repro.tornet.observedbw import ObservedBandwidth
 from repro.tornet.pathsel import PathSelector
-from repro.tornet.relay import Relay, RelayBehavior, SecondReport
+from repro.tornet.relay import Relay, RelayBehavior
 from repro.tornet.relaycrypto import CircuitKey, derive_shared_key
 from repro.tornet.tokenbucket import TokenBucket
 
@@ -40,7 +40,6 @@ __all__ = [
     "Relay",
     "RelayBehavior",
     "RouterStatus",
-    "SecondReport",
     "ServerDescriptor",
     "SharedRandomness",
     "TokenBucket",

@@ -23,12 +23,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.netsim.hosts import Host
-from repro.tornet.cell import Cell
 from repro.tornet.cpu import CpuModel
 from repro.tornet.kist import kist_rate_cap
 from repro.tornet.meassched import measurement_rate_cap
 from repro.tornet.observedbw import ObservedBandwidth
-from repro.tornet.relaycrypto import CircuitKey
 from repro.tornet.tokenbucket import TokenBucket
 from repro.rng import fork
 
@@ -50,6 +48,11 @@ class BehaviorProgram:
     - ``measurement_claim_factor`` -- a report derived from measurement
       traffic instead: ``measurement_bytes * factor`` (overrides the
       scale when set; the ratio-cheater's claimed allowance);
+    - ``background_report_offset`` -- bytes added to every second's
+      report after the scale or claim: other relays' measurement traffic
+      read from the behaviour's :attr:`RelayBehavior.ledger` when the
+      slot is compiled (a colluder's pooled claim). Exact because no
+      ledger peer is walked during the slot;
     - ``forge_fraction`` -- :meth:`RelayBehavior.echo_payload` forging
       with this probability per checked cell, drawn from the behaviour's
       seeded RNG (replayed by the kernel's verification pass).
@@ -64,6 +67,7 @@ class BehaviorProgram:
     enforces_ratio: bool = True
     background_report_scale: float = 1.0
     measurement_claim_factor: float | None = None
+    background_report_offset: float = 0.0
     forge_fraction: float | None = None
 
 
@@ -77,6 +81,12 @@ class RelayBehavior:
 
     #: Human-readable label used in experiment output.
     name = "honest"
+
+    #: The object through which this behaviour's reports read other
+    #: relays' measurements (a colluding clique's shared ledger), or
+    #: ``None``. The kernel runs specs that share a ledger in separate
+    #: waves, in spec order, so each slot reads its peers' settled state.
+    ledger: object | None = None
 
     def report_background(self, actual_bytes: float, relay: "Relay") -> float:
         """Background bytes the relay *claims* to have forwarded."""
@@ -99,13 +109,14 @@ class RelayBehavior:
     # ------------------------------------------------------------------
 
     def kernel_program(self) -> Optional[BehaviorProgram]:
-        """This behaviour's closed-form walk, or ``None`` if stateful.
+        """This behaviour's closed-form walk, or ``None`` if it has none.
 
         The base class answers for the *exact* honest type only: an
         unknown subclass inheriting this implementation must never
         silently compile as honest, so anything other than a plain
-        ``RelayBehavior`` returns ``None`` (stateful fallback) unless it
-        overrides this hook itself.
+        ``RelayBehavior`` returns ``None`` unless it overrides this hook
+        itself, and the kernel refuses to measure such a relay with a
+        :class:`~repro.errors.ConfigurationError`.
         """
         return HONEST_PROGRAM if type(self) is RelayBehavior else None
 
@@ -114,17 +125,16 @@ class RelayBehavior:
 
         Runs before the kernel snapshots relay state, so slot-constant
         decisions (e.g. the selective-capacity coin flip) land in the
-        compiled base capacity. Both the stateful and compiled paths call
-        this at the same point, keeping behaviour RNG streams aligned.
+        compiled base capacity.
         """
 
     def note_measurement(self, measurement_bytes: float, relay: "Relay") -> None:
         """Observe this second's measurement traffic (before reporting).
 
-        Called each measured second with the bytes of measurement traffic
-        the relay just forwarded; behaviours whose background report is
-        derived from measurement traffic (the ratio cheater, colluders)
-        record it here.
+        Called with the bytes of measurement traffic the relay forwarded
+        in a slot's last walked second (only the last note survives as
+        state); behaviours whose background report is derived from
+        measurement traffic (the ratio cheater, colluders) record it here.
         """
 
     def settle_verify_replay(
@@ -134,24 +144,9 @@ class RelayBehavior:
 
         The kernel replays echo-cell forgery decisions on a copy of the
         behaviour's RNG; this hook writes back the advanced RNG state and
-        the forged-cell count so subsequent stateful use is bit-identical
-        to having run the slot on the stateful path.
+        the forged-cell count, so the behaviour ends the slot exactly as
+        a stateful per-cell walk would have left it.
         """
-
-
-@dataclass
-class SecondReport:
-    """What happened at a relay during one second of a measurement slot."""
-
-    #: Measurement bytes the relay echoed (ground truth, observed by
-    #: measurers as received bytes).
-    measurement_bytes: float
-    #: Normal (client) bytes actually forwarded.
-    background_actual_bytes: float
-    #: Normal bytes the relay *reported* to the BWAuth (may be a lie).
-    background_reported_bytes: float
-    #: The relay's total forwarding capacity this second (diagnostics).
-    capacity_bits: float
 
 
 @dataclass
@@ -313,9 +308,8 @@ class Relay:
         """Pre-draw ``n`` per-second jitter factors.
 
         Consumes the relay's RNG stream exactly as ``n`` successive
-        :meth:`_noise` calls would, so an externalised walk over the
-        returned series is bit-identical to ``n`` stateful
-        :meth:`measured_second` calls.
+        :meth:`_noise` calls would, so a walk over the returned series is
+        bit-identical to drawing the jitter second by second.
         """
         gauss = self._rng.gauss
         jitter = self.jitter
@@ -329,9 +323,9 @@ class Relay:
         """Apply the state effects of an externally executed walk.
 
         The kernel runs the per-second measurement walk over compiled
-        arrays and never touches the relay; this settles the side effects
-        the stateful walk would have had: observed-bandwidth history and
-        the token bucket's final fill level.
+        arrays and never touches the relay; this settles the walk's side
+        effects: observed-bandwidth history and the token bucket's final
+        fill level.
         """
         if self._bucket is not None and final_bucket_tokens is not None:
             self._bucket.tokens = final_bucket_tokens
@@ -372,86 +366,3 @@ class Relay:
             self._bucket.consume_second(forwarded_bits / 8.0)
         self.observed_bw.record_second(forwarded_bits / 8.0, t)
         return forwarded_bits
-
-    def measured_second(
-        self,
-        measurement_supply_bits: float,
-        background_demand_bits: float,
-        ratio_r: float,
-        n_measurement_sockets: int,
-        n_background_sockets: int = 20,
-        t: int | None = None,
-        external_factor: float = 1.0,
-        noise: float | None = None,
-    ) -> SecondReport:
-        """One second of a measurement slot at this relay.
-
-        ``measurement_supply_bits`` is what the measurers can push this
-        second (after their own TCP/link constraints); the relay echoes as
-        much as its capacity allows while reserving at most ``r`` of total
-        for normal traffic. ``external_factor`` scales capacity for
-        environment effects outside the relay's control (cross traffic,
-        time-of-day congestion) sampled per measurement by the caller.
-        ``noise`` substitutes a pre-drawn jitter factor (from
-        :meth:`draw_noise_series`) for the stateful draw, letting callers
-        fix the whole slot's RNG consumption up front.
-        """
-        if not 0 <= ratio_r < 1:
-            raise ValueError("ratio r must be in [0, 1)")
-        capacity = self.forwarding_capacity(
-            n_measurement_sockets=n_measurement_sockets,
-            n_background_sockets=n_background_sockets,
-            being_measured=True,
-        )
-        if self._bucket is not None:
-            # Peek: the bucket bounds this second's forwarding; tokens are
-            # settled below against bytes actually forwarded, so an
-            # under-supplied second leaves the burst allowance intact.
-            capacity = min(capacity, self._bucket.available_second() * 8.0)
-        capacity *= (self._noise() if noise is None else noise) * external_factor
-
-        # Allocate capacity between measurement and normal traffic.
-        if self.behavior.enforces_ratio():
-            background = min(background_demand_bits, ratio_r * capacity)
-            measurement = min(measurement_supply_bits, capacity - background)
-            if ratio_r < 1:
-                background = min(
-                    background, measurement * ratio_r / (1.0 - ratio_r)
-                )
-            measurement = min(measurement_supply_bits, capacity - background)
-        else:
-            # A relay ignoring the ratio gives everything to measurement
-            # traffic (maximising its estimate) -- see attacks.relays.
-            measurement = min(measurement_supply_bits, capacity)
-            background = min(
-                background_demand_bits, max(0.0, capacity - measurement)
-            )
-
-        self.behavior.note_measurement(measurement / 8.0, self)
-        reported = self.behavior.report_background(background / 8.0, self) * 8.0
-        total_bits = measurement + background
-        if self._bucket is not None:
-            self._bucket.consume_second(total_bits / 8.0)
-        self.observed_bw.record_second(total_bits / 8.0, t)
-        return SecondReport(
-            measurement_bytes=measurement / 8.0,
-            background_actual_bytes=background / 8.0,
-            background_reported_bytes=reported / 8.0,
-            capacity_bits=capacity,
-        )
-
-    # ------------------------------------------------------------------
-    # Echo-cell processing (verification path, paper §4.1/§5)
-    # ------------------------------------------------------------------
-
-    def process_measurement_cell(
-        self, cell: Cell, key: CircuitKey, cell_index: int
-    ) -> Cell:
-        """Decrypt a measurement cell and return the echo.
-
-        An honest relay returns the proper decryption; a forging behaviour
-        substitutes whatever it likes and is caught by the measurer's
-        random content checks with overwhelming probability.
-        """
-        correct = key.process(cell.payload, cell_index)
-        return cell.with_payload(self.behavior.echo_payload(correct, self))

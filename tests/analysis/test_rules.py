@@ -3,6 +3,8 @@ quiet on the sanctioned alternative."""
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import run_paths
 
 
@@ -32,6 +34,26 @@ def test_ff001_fires_once_in_critical_module(tmp_path):
     findings = _lint(tmp_path, "src/repro/kernel/bad.py", FF001_BAD)
     assert _codes(findings) == ["FF001"]
     assert "np" in findings[0].context
+
+
+@pytest.mark.parametrize("name,scalar", [
+    ("pow", "math.pow"), ("float_power", "math.pow"), ("cbrt", "math.cbrt"),
+    ("sin", "math.sin"), ("cos", "math.cos"), ("tan", "math.tan"),
+    ("arcsin", "math.asin"), ("arctan2", "math.atan2"), ("asin", "math.asin"),
+    ("sinh", "math.sinh"), ("tanh", "math.tanh"), ("arccosh", "math.acosh"),
+    ("atanh", "math.atanh"), ("logaddexp", "math.log"),
+    ("logaddexp2", "math.log2"),
+])
+def test_ff001_fires_once_per_transcendental(tmp_path, name, scalar):
+    """numpy 2's ``np.pow`` alias and every trig, hyperbolic, ``cbrt``,
+    ``logaddexp`` and ``float_power`` call fire too, in the kernel and
+    in ``repro.rng``, each naming its scalar ``math`` replacement."""
+    bad = f"import numpy as np\n\ndef f(x):\n    return np.{name}(x)\n"
+    for rel in ("src/repro/kernel/bad.py", "src/repro/rng.py"):
+        findings = _lint(tmp_path, rel, bad)
+        assert _codes(findings) == ["FF001"], rel
+        assert f"`{scalar}" in findings[0].message
+        (tmp_path / rel).unlink()
 
 
 def test_ff001_silent_outside_critical_modules(tmp_path):

@@ -4,7 +4,8 @@
 as it stood before the scenario API absorbed it, packing each round
 with the historical per-slot queue rescan
 (:func:`tests.oracles.slot_pack.reference_first_fit`) and running each
-measurement through the stateful ``MeasurementEngine.run``. Registered
+measurement through the stateful reference walk
+(:func:`tests.oracles.stateful_engine.stateful_run`). Registered
 scenarios resolved deterministically must produce the *exact* same
 estimates through ``Campaign.run()`` -- which runs each round on the
 vectorized kernel -- as that historical loop produces on freshly
@@ -28,7 +29,11 @@ from repro.core.netmeasure import CampaignResult
 from repro.rng import fork
 from repro.tornet.relaycrypto import CircuitKey
 from tests.oracles.slot_pack import reference_first_fit
-from tests.oracles.stateful_engine import use_stateful_reference
+from tests.oracles.stateful_engine import (
+    analytic_estimate,
+    stateful_run,
+    use_stateful_reference,
+)
 
 
 def _reference_measure_network(
@@ -109,15 +114,15 @@ def _reference_measure_network(
                 )
                 for fp, z0, rounds, slot, capped, assignments, bg, _ in jobs
             ]
-            outcomes = [engine.run(spec) for spec in specs]
+            outcomes = [stateful_run(engine, spec) for spec in specs]
             results = [
                 (o.estimate, o.failed, o.failure_reason) for o in outcomes
             ]
         else:
             results = [
                 (
-                    engine.analytic_estimate(
-                        network[fp], assignments, params, wobble
+                    analytic_estimate(
+                        engine, network[fp], assignments, params, wobble
                     ),
                     False,
                     None,
@@ -203,7 +208,7 @@ def test_every_registered_scenario_matches_stateful_reference(
 ):
     """Each canned scenario produces bit-identical estimates and slot
     counts on the kernel and on the stateful references (per-spec
-    ``MeasurementEngine.run``, per-job ``analytic_estimate``), with a
+    ``stateful_run``, per-job ``analytic_estimate``), with a
     fresh resolution per run: relays are stateful."""
     execution = default_execution_for(name)
     with monkeypatch.context() as patch:

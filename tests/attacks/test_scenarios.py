@@ -8,16 +8,22 @@ TorFlow's self-report scaling inflates by the full claimed factor.
 
 import pytest
 
+from repro import quick_team
 from repro.api.scenarios import get_scenario, run_scenario
 from repro.attacks import (
     CollusionBehavior,
     CollusionFactory,
+    CollusionGroup,
     inflation_bound,
     inflation_sweep,
     torflow_self_report_attack,
 )
-from repro.core.engine import MeasurementEngine
+from repro.core.allocation import allocate_capacity
+from repro.core.engine import MeasurementEngine, MeasurementSpec
 from repro.core.params import FlashFlowParams
+from repro.tornet.relay import Relay
+from repro.units import mbit
+from tests.oracles.stateful_engine import stateful_run
 
 #: Noise slack: env/socket jitter moves estimates a few percent.
 SLACK = 1.08
@@ -85,28 +91,66 @@ def test_resolving_twice_never_shares_ledgers():
     assert not groups_first & groups_second
 
 
-def test_collusion_stays_on_the_stateful_path():
-    """Cross-relay state cannot lower into the per-relay kernel."""
-    behavior = CollusionBehavior()
-    assert behavior.kernel_program() is None
-    # And through the real compile gate:
-    from repro import quick_team
-    from repro.core.allocation import allocate_capacity
-    from repro.core.engine import MeasurementSpec
-    from repro.kernel import is_compilable
-    from repro.tornet.relay import Relay
-    from repro.units import mbit
+def _collusion_relays():
+    """Two cliques interleaved with honest relays."""
+    cliques = {"a": CollusionGroup(), "b": CollusionGroup()}
+    relays = []
+    for i, clique in enumerate(["a", None, "b", "a", None, "b", "a", "b"]):
+        behavior = CollusionBehavior(cliques[clique]) if clique else None
+        relays.append(
+            Relay.with_capacity(
+                f"c{i}", mbit(80 + 35 * i), seed=700 + i, behavior=behavior
+            )
+        )
+    return relays
 
+
+def _collusion_specs(team, relays, round_):
+    params = FlashFlowParams()
+    return [
+        MeasurementSpec(
+            target=relay,
+            assignments=allocate_capacity(
+                team, params.allocation_factor * mbit(80 + 35 * i)
+            ),
+            params=params,
+            seed=100 * round_ + i,
+            background_demand=mbit(20),
+            enforce_admission=False,
+        )
+        for i, relay in enumerate(relays)
+    ]
+
+
+def test_collusion_batch_matches_stateful_reference():
+    """Colluders compile: each slot reads its clique's ledger when it
+    compiles, and clique members of one batch run in ordered waves, so
+    two interleaved cliques give the stateful spec-order walk's exact
+    outcomes, relay state and ledger entries, round after round."""
     team = quick_team(seed=3).team
-    relay = Relay.with_capacity("c", mbit(100), seed=1, behavior=behavior)
-    spec = MeasurementSpec(
-        target=relay,
-        assignments=allocate_capacity(team, mbit(300)),
-        params=FlashFlowParams(),
-        seed=2,
-        enforce_admission=False,
-    )
-    assert not is_compilable(MeasurementEngine(), spec)
+    relays, twins = _collusion_relays(), _collusion_relays()
+    engine = MeasurementEngine()
+    for round_ in (1, 2):
+        outcomes = engine.run_many(_collusion_specs(team, relays, round_))
+        reference = [
+            stateful_run(engine, spec)
+            for spec in _collusion_specs(team, twins, round_)
+        ]
+        assert outcomes == reference
+    # By the second round every colluder claims its peers' bytes on top
+    # of the 20 Mbit/s it forwards; honest relays claim no more than that.
+    for relay, outcome in zip(relays, outcomes):
+        claimed = min(outcome.per_second_background_reported)
+        if isinstance(relay.behavior, CollusionBehavior):
+            assert claimed > mbit(20), relay.fingerprint
+        else:
+            assert max(outcome.per_second_background_reported) <= mbit(20)
+    for relay, twin in zip(relays, twins):
+        assert relay._rng.getstate() == twin._rng.getstate()
+        assert vars(relay.observed_bw) == vars(twin.observed_bw)
+        if isinstance(relay.behavior, CollusionBehavior):
+            assert relay.behavior._last_measurement_bytes \
+                == twin.behavior._last_measurement_bytes > 0
 
 
 def test_collusion_factory_validation():

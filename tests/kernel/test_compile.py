@@ -2,10 +2,10 @@
 
 The contract: for honest relays, compiling a spec and executing it as a
 vectorized array walk produces *bit-identical* outcomes and relay state
-to the stateful ``MeasurementEngine.run`` path, and the compiled
-capacity series matches a raw ``Relay.measured_second`` oracle walk
-exactly. Behaviours without a kernel program (custom stateful
-subclasses) and transcript sessions must refuse to compile; the
+to the stateful reference walk (``tests/oracles/stateful_engine.py``),
+and the compiled capacity series matches a raw ``measured_second``
+oracle walk exactly. Behaviours without a kernel program (custom
+stateful subclasses) are refused by name before anything compiles; the
 compiled-adversary oracle suite lives in ``test_adversary_compile.py``.
 """
 
@@ -17,11 +17,17 @@ from repro.attacks.relays import TrafficLiarRelayBehavior
 from repro.core.allocation import allocate_capacity
 from repro.core.engine import MeasurementEngine, MeasurementNoise, MeasurementSpec
 from repro.core.params import FlashFlowParams
-from repro.kernel import compile_measurement, execute_batch, execute_compiled, is_compilable
+from repro.errors import ConfigurationError
+from repro.kernel import compile_measurement, execute_batch, execute_compiled
 from repro.netsim.latency import NetworkModel
 from repro.rng import fork
 from repro.tornet.relay import Relay, RelayBehavior
 from repro.units import mbit
+from tests.oracles.stateful_engine import (
+    EchoVerifier,
+    measured_second,
+    stateful_run,
+)
 
 
 @pytest.fixture
@@ -77,9 +83,8 @@ def test_compiled_outcome_matches_stateful_engine_bitwise(team):
     """Every outcome field equals the stateful path, bit for bit."""
     for config in CONFIGS:
         spec_ref, spec_kernel = _config_specs(team, *config)
-        reference = MeasurementEngine().run(spec_ref)
+        reference = stateful_run(MeasurementEngine(), spec_ref)
         cm = compile_measurement(MeasurementEngine(), spec_kernel)
-        assert cm is not None
         outcome = execute_compiled(cm).to_outcome()
         assert outcome.estimate == reference.estimate
         assert outcome.per_second_measurement == reference.per_second_measurement
@@ -117,7 +122,8 @@ def test_compiled_capacity_series_matches_measured_second_oracle(team):
         plan_inputs = engine.prepare_inputs(spec_ref)
         oracle = spec_ref.target
         for second in range(cm.duration):
-            report = oracle.measured_second(
+            report = measured_second(
+                oracle,
                 measurement_supply_bits=float(supply[second]),
                 background_demand_bits=float(cm.background[second]),
                 ratio_r=params.ratio,
@@ -138,7 +144,7 @@ def test_compiled_relay_state_matches_stateful_engine(team):
     """Bucket fill, observed bandwidth, and RNG position all settle."""
     for config in CONFIGS:
         spec_ref, spec_kernel = _config_specs(team, *config)
-        MeasurementEngine().run(spec_ref)
+        stateful_run(MeasurementEngine(), spec_ref)
         engine = MeasurementEngine()
         cm = compile_measurement(engine, spec_kernel)
         result = execute_compiled(cm)
@@ -207,7 +213,9 @@ def test_compiled_with_network_model_matches_engine(team):
             enforce_admission=False,
         )
 
-    reference = MeasurementEngine(network=model_a).run(spec_for(model_a))
+    reference = stateful_run(
+        MeasurementEngine(network=model_a), spec_for(model_a)
+    )
     cm = compile_measurement(
         MeasurementEngine(network=model_b), spec_for(model_b)
     )
@@ -234,11 +242,14 @@ def test_admission_refusal_compiles_to_failed_outcome(team):
 
 
 def test_only_stateful_custom_behaviors_refuse_to_compile(team):
-    """The four common attacks compile; unknown subclasses never do."""
+    """The four common attacks and colluders compile; an unknown
+    subclass is refused by name before it consumes any relay state."""
     params = FlashFlowParams()
     engine = MeasurementEngine()
 
-    # Program-carrying behaviours (honest + the four §5 attacks) compile.
+    # Program-carrying behaviours (honest, the four §5 attacks and a
+    # colluder) compile.
+    from repro.attacks import CollusionBehavior
     from repro.attacks.relays import (
         ForgingRelayBehavior,
         RatioCheatingRelayBehavior,
@@ -252,34 +263,39 @@ def test_only_stateful_custom_behaviors_refuse_to_compile(team):
             RatioCheatingRelayBehavior(),
             ForgingRelayBehavior(seed=3),
             SelectiveCapacityRelayBehavior(seed=4),
+            CollusionBehavior(),
         ]
     ):
         relay = _relay(12 + i, 200, behavior=behavior)
-        assert is_compilable(engine, _spec(relay, team, params, seed=1))
+        cm = compile_measurement(engine, _spec(relay, team, params, seed=1))
+        assert cm.program is not None
 
     # A custom subclass inheriting the honest hooks must NOT silently
     # compile as honest: kernel_program answers for the exact base type
-    # only.
+    # only, and the kernel refuses the relay instead of falling back.
     class CustomBehavior(RelayBehavior):
         name = "custom"
 
     custom = _relay(20, 200, behavior=CustomBehavior())
+    custom.set_rate_limit(mbit(150))
     assert custom.behavior.kernel_program() is None
-    assert not is_compilable(engine, _spec(custom, team, params, seed=1))
-    assert (
-        compile_measurement(engine, _spec(custom, team, params, seed=1))
-        is None
+    tokens = custom.bucket.tokens
+    spec = MeasurementSpec(
+        target=custom,
+        assignments=allocate_capacity(team, mbit(400)),
+        params=params,
+        seed=1,
     )
-
-    session_spec = _spec(_relay(14, 200), team, params, seed=3, session=object())
-    assert not is_compilable(engine, session_spec)
-
-    no_reuse = MeasurementEngine(reuse_circuit_keys=False)
-    assert not is_compilable(no_reuse, _spec(_relay(15, 200), team, params, seed=4))
+    with pytest.raises(ConfigurationError, match="'r'.*CustomBehavior"):
+        engine.run(spec)
+    # Nothing was consumed: admission, jitter stream and bucket untouched.
+    assert custom._measured_in == set()
+    assert custom._lazy_rng is None
+    assert custom.bucket.tokens == tokens
 
 
 def test_run_many_mixed_honest_and_adversarial_matches_stateful(team):
-    """Fallback specs interleave with compiled ones, in spec order."""
+    """Adversarial lanes interleave with honest ones, in spec order."""
     params = FlashFlowParams()
 
     def build(tag):
@@ -295,7 +311,7 @@ def test_run_many_mixed_honest_and_adversarial_matches_stateful(team):
             )
         return specs
 
-    stateful = [MeasurementEngine().run(s) for s in build("a")]
+    stateful = [stateful_run(MeasurementEngine(), s) for s in build("a")]
     kernel = MeasurementEngine().run_many(build("b"))
     assert [o.estimate for o in kernel] == [o.estimate for o in stateful]
     assert [o.per_second_total for o in kernel] \
@@ -309,18 +325,28 @@ def test_compiled_supply_matches_engine_supply_total(team):
     prepare, second-major and assignment-minor, each times its
     assignment's cap, summed per second in assignment order.
     """
+    from repro.core.engine import assignment_caps
+
     n_assignments = set()
     for config in CONFIGS:
         spec_twin, spec_kernel = _config_specs(team, *config)
         cm = compile_measurement(MeasurementEngine(), spec_kernel)
-        plan = MeasurementEngine().prepare(spec_twin)
-        n_assignments.add(len(plan.profiles))
-        gauss, std = plan.rng.gauss, plan.noise.supply_noise_std
+        inputs = MeasurementEngine().prepare_inputs(spec_twin)
+        caps = [
+            assignment_caps(
+                path, a.measurer.host.kernel, inputs.target_kernel,
+                inputs.duration, a.allocated, a.measurer.host.link_capacity,
+                inputs.socket_share, quality, inputs.efficiency,
+            )
+            for a, path, quality in inputs.entries
+        ]
+        n_assignments.add(len(caps))
+        gauss, std = inputs.rng.gauss, inputs.noise.supply_noise_std
         expected = []
-        for second in range(plan.duration):
+        for second in range(inputs.duration):
             supply_total = 0.0
-            for profile in plan.profiles:
-                supply_total += profile.caps[second] * max(0.3, gauss(1.0, std))
+            for cap in caps:
+                supply_total += cap[second] * max(0.3, gauss(1.0, std))
             expected.append(supply_total)
         assert cm.supply.tolist() == expected
     # The draw order only shows with several assignments per second.
@@ -367,8 +393,6 @@ def test_verification_outcome_invariant_to_payload_stream(team):
     running the stateful verifier against two different payload streams.
     """
     import random
-
-    from repro.core.verification import EchoVerifier
 
     spec = _spec(_relay(22, 150), team, FlashFlowParams(), seed=92)
     relay = spec.target

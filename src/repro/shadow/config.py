@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, _is_finite_number, _is_int
 from repro.rng import fork
 from repro.tornet.network import (
     TorNetwork,
@@ -52,10 +52,52 @@ class ShadowConfig:
     circuit_lifetime_seconds: int = 300
 
     def __post_init__(self) -> None:
+        # Each bad value otherwise fails late or not at all: a NaN load
+        # raises from int() inside the run, a negative target runs with
+        # no background traffic, a NaN access rate times out every
+        # transfer, and a negative horizon runs empty.
+        for name, least in (
+            ("n_relays", 1), ("n_dirauths", 0), ("n_markov_clients", 0),
+            ("n_benchmark_clients", 0), ("sim_seconds", 1),
+            ("warmup_seconds", 0), ("benchmark_pause_seconds", 0),
+            ("circuit_lifetime_seconds", 1),
+        ):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+            if value < least:
+                raise ConfigurationError(
+                    f"{name} must be >= {least}, got {value!r}"
+                )
+        if not _is_int(self.seed):
+            raise ConfigurationError(
+                f"seed must be an integer, got {self.seed!r}"
+            )
+        for name in (
+            "load_multiplier", "utilization_target", "client_access_bits",
+        ):
+            value = getattr(self, name)
+            if not _is_finite_number(value) or value <= 0:
+                raise ConfigurationError(
+                    f"{name} must be a finite number > 0, got {value!r}"
+                )
+        for name in ("benchmark_sizes", "benchmark_timeouts"):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, tuple)
+                or not value
+                or not all(_is_int(v) and v > 0 for v in value)
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a non-empty tuple of integers > 0, "
+                    f"got {value!r}"
+                )
         if len(self.benchmark_sizes) != len(self.benchmark_timeouts):
-            raise ConfigurationError("sizes/timeouts must align")
-        if self.load_multiplier <= 0:
-            raise ConfigurationError("load multiplier must be positive")
+            raise ConfigurationError(
+                "benchmark_sizes and benchmark_timeouts must align"
+            )
 
 
 @dataclass

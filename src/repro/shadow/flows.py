@@ -13,7 +13,14 @@ same way :mod:`repro.kernel` lowered measurement rounds:
   events (every ``circuit_lifetime_seconds``), not every second. The
   AR(1) innovations for the whole span are pre-drawn from each
   generator's own RNG in exactly the per-second order the stateful walk
-  consumes them, so values are bit-identical.
+  consumes them, one :func:`repro.rng.gauss_block` per generator, so
+  values are bit-identical.
+- **exact max-min waterfill** (:func:`waterfill`): one call per
+  simulated second. The active flows share one rate (the water level),
+  their caps are sorted once per call, and relay counts are
+  decremented as flows freeze; freeze batches subtract from the relay
+  residuals in ascending flow order, so the rates are the same bytes
+  as the round-by-round loop kept in ``tests/oracles/waterfill.py``.
 - **vectorized congested RTT**: per-relay load ratios from the previous
   second turn into effective RTTs and window caps for every flow in a
   handful of elementwise array ops.
@@ -69,65 +76,89 @@ def waterfill(
 
     ``path_idx`` is [F, 3] relay indices, ``caps`` [F] per-flow caps,
     ``capacity`` [R] per-relay forwarding capacity. Returns rates [F].
+    A flow whose cap is not positive (zero, negative or NaN) gets 0.
 
     The waterfilling is the batch-freezing variant: each round either
-    freezes every flow whose cap-residual is below the tightest resource
-    level (in one vector operation) or saturates at least one relay, so
-    rounds stay far below the flow count.
+    finishes (every active flow fits under the tightest relay level),
+    freezes every flow whose cap-residual is below that level, or
+    raises all active flows by the level and freezes the flows crossing
+    a saturated relay, so rounds stay far below the flow count. Three
+    invariants make a round cheap:
+
+    - Every active flow has the same rate, ``water``: each starts at
+      0.0 and every raise adds the same ``level`` to each.
+    - A flow's residual ``cap - water`` is monotone in ``cap``, so each
+      freeze batch is the next run of active flows in cap order (ties
+      in flow order), and "nothing above the level" is a test of the
+      largest active cap. The active caps are sorted once per call.
+    - A relay's count of active flows only falls, so it is decremented
+      as flows freeze, and a relay no active flow crosses holds
+      ``remaining = inf``, which makes the level one divide and one
+      ``min``.
+
+    **Exact-order rule.** A freeze batch subtracts its residuals from
+    ``remaining`` with ``np.subtract.at`` in ascending flow order, path
+    position by path position. Floating-point subtraction is not
+    associative, so any other order (a ``bincount``-summed subtraction,
+    say) changes the bits of later levels and rates.
+    ``tests/oracles/waterfill.py`` keeps the round-by-round loop that
+    recounts every relay each round, and the result must equal it byte
+    for byte.
     """
     n_flows = path_idx.shape[0]
     n_relays = capacity.shape[0]
     rates = np.zeros(n_flows)
     if n_flows == 0:
         return rates
-    active = caps > 0
-    remaining = capacity.astype(float).copy()
+    order = np.flatnonzero(caps > 0)
+    order = order[np.argsort(caps[order], kind="stable")]
+    sorted_caps = caps[order]
+    counts = np.bincount(path_idx[order].ravel(), minlength=n_relays)
+    remaining = capacity.astype(float)
+    remaining[counts == 0] = np.inf
+    water = 0.0
 
     for _ in range(2 * (n_flows + n_relays) + 8):
-        if not active.any():
+        if not order.size:
             break
-        act_paths = path_idx[active]
-        counts = np.bincount(act_paths.ravel(), minlength=n_relays)
-        used = counts > 0
-        with np.errstate(divide="ignore"):
-            levels = np.where(used, remaining / np.maximum(counts, 1), np.inf)
-        level = levels.min()
+        level = (remaining / counts).min()
+        threshold = level + _EPS
+        if math.isinf(level) or not sorted_caps[-1] - water > threshold:
+            # Every active flow fits under the tightest relay level.
+            rates[order] = sorted_caps
+            return rates
 
-        residual = caps[active] - rates[active]
-        if np.isinf(level) or (residual > level + _EPS).sum() == 0:
-            # Every remaining flow fits under the tightest resource level:
-            # give each its full residual and finish.
+        if sorted_caps[0] - water <= threshold:
+            # Freeze the cap-limited flows below the level in one shot.
+            n_batch = np.searchsorted(
+                sorted_caps - water, threshold, side="right"
+            )
+            frozen = np.sort(order[:n_batch])
+            frozen_paths = path_idx[frozen]
             np.subtract.at(
                 remaining,
-                act_paths.ravel(),
-                np.repeat(residual, 3),
+                frozen_paths.ravel(),
+                np.repeat(caps[frozen] - water, 3),
             )
-            rates[active] = caps[active]
-            active[:] = False
-            break
+            rates[frozen] = caps[frozen]
+            order, sorted_caps = order[n_batch:], sorted_caps[n_batch:]
+        else:
+            # Raise everyone by the level; at least one relay saturates.
+            water = water + level
+            remaining -= level * counts
+            saturated = remaining <= _EPS
+            if not saturated.any():
+                continue
+            crossing = saturated[path_idx[order]].any(axis=1)
+            frozen = order[crossing]
+            frozen_paths = path_idx[frozen]
+            rates[frozen] = water
+            order, sorted_caps = order[~crossing], sorted_caps[~crossing]
+        counts -= np.bincount(frozen_paths.ravel(), minlength=n_relays)
+        remaining[counts == 0] = np.inf
 
-        batch = residual <= level + _EPS
-        if batch.any():
-            # Freeze all cap-limited flows below the level in one shot.
-            batch_paths = act_paths[batch]
-            np.subtract.at(
-                remaining,
-                batch_paths.ravel(),
-                np.repeat(residual[batch], 3),
-            )
-            idx = np.flatnonzero(active)[batch]
-            rates[idx] = caps[idx]
-            active[idx] = False
-            continue
-
-        # Advance everyone by the level; at least one relay saturates.
-        rates[active] += level
-        remaining -= level * counts
-        saturated = remaining <= _EPS
-        if saturated.any():
-            crossing = saturated[path_idx].any(axis=1) & active
-            active &= ~crossing
-
+    # The iteration bound ran out: the flows still active keep the water.
+    rates[order] = water
     return rates
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.rng import gauss_block
 from repro.tornet.pathsel import PathSelector
 
 
@@ -105,18 +106,15 @@ class MarkovLoadGenerator:
         :meth:`demands` calls would draw -- one ``gauss(0, sigma)`` per
         circuit per second, circuits in list order -- so the flow
         kernel's batched walk stays bit-identical to the stateful one.
+        :func:`repro.rng.gauss_block` makes the whole block in one
+        transform and leaves the generator where that loop would.
         Only valid between churn events (no circuit may expire inside
         the span).
         """
-        gauss = self._rng.gauss
-        sigma = self.sigma
-        count = span * len(self.circuits)
-        block = np.fromiter(
-            (gauss(0.0, sigma) for _ in range(count)),
-            dtype=np.float64,
-            count=count,
+        width = len(self.circuits)
+        return gauss_block(self._rng, span * width, 0.0, self.sigma).reshape(
+            span, width
         )
-        return block.reshape(span, len(self.circuits))
 
     def demands(self, now: int) -> list[tuple[BackgroundCircuit, float]]:
         """Advance the demand processes; return (circuit, bits/s) pairs."""

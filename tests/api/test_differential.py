@@ -11,8 +11,8 @@ must be ``==``, and no adversary may inflate its estimate past the §5
 bound ``1/(1-r)``.
 
 Tier-1 runs a small example budget. ``DIFFERENTIAL_EXAMPLES`` raises it
-(the ``differential`` CI job runs ten times as many); only this module
-reads that variable.
+(the ``differential`` CI job runs ten times as many); the waterfill and
+``gauss_block`` oracles read the same variable.
 """
 
 import os

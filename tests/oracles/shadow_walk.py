@@ -3,9 +3,11 @@
 Before the flow kernel (:mod:`repro.shadow.flows`), every simulated
 second rebuilt the flow list in Python: each background circuit's
 demand and congested-RTT window cap, each benchmark transfer's cap,
-one waterfill, then per-transfer advancement with the overload
-scheduling penalty. ``reference_walk`` is that loop over a simulator's
-prepared inputs; the flow oracle and golden suites compare
+one waterfill (the round-by-round
+:func:`tests.oracles.waterfill.reference_waterfill`), then per-transfer
+advancement with the overload scheduling penalty. ``reference_walk`` is
+that loop over a simulator's prepared inputs; the flow oracle and
+golden suites compare
 :meth:`NetworkSimulator.run <repro.shadow.simulator.NetworkSimulator.run>`
 against it.
 """
@@ -17,10 +19,10 @@ from repro.shadow.flows import (
     OVERLOAD_FULL,
     OVERLOAD_ONSET,
     finalize_relay_stats,
-    waterfill,
 )
 from repro.shadow.simulator import NetworkSimulator, SimulationMetrics
 from repro.tornet.circuit import circuit_rate_cap
+from tests.oracles.waterfill import reference_waterfill
 
 
 def reference_walk(
@@ -82,7 +84,9 @@ def reference_walk(
 
         path_idx = np.array(paths, dtype=np.int64).reshape(-1, 3)
         cap_arr = np.array(caps)
-        rates = waterfill(path_idx, cap_arr, capacity * relay_noise[now])
+        rates = reference_waterfill(
+            path_idx, cap_arr, capacity * relay_noise[now]
+        )
 
         # Oversubscription per relay: offered demand vs capacity.
         offered_load = np.bincount(

@@ -59,7 +59,7 @@ from repro.core.netmeasure import (
 from repro.core.schedule import first_fit_slots
 from repro.kernel.analytic import run_analytic_round
 from repro.obs import (
-    JsonlTraceWriter,
+    JsonlLog,
     Tracer,
     get_registry,
     get_tracer,
@@ -389,7 +389,7 @@ class Campaign:
             periods=scenario.periods,
             max_rounds=execution.max_rounds,
         )
-        tracer = Tracer(sink=JsonlTraceWriter(execution.trace, manifest))
+        tracer = Tracer(sink=JsonlLog(execution.trace, manifest))
         self.tracer = tracer
         try:
             with use_tracer(tracer):

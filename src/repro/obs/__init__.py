@@ -12,24 +12,27 @@ A zero-dependency observability subsystem with three pillars:
   histograms at the choke points -- rounds retried, specs compiled,
   shadow churns -- plus :func:`warn_once` so silent
   degradations surface exactly once per process.
-- **exporters** (:mod:`repro.obs.export`): the incremental
-  ``flashflow-trace/1`` JSONL writer with a run manifest (seed,
-  scenario, cpu_count, git rev) and a plain-text summary
-  renderer; :mod:`repro.obs.validate` checks emitted files (CI smoke).
+- **the log substrate** (:mod:`repro.obs.export`): the one JSONL
+  writer (:class:`JsonlLog`, line 1 a run manifest with seed, scenario,
+  cpu_count, git rev) and reader (:func:`read_log`, with the one
+  torn-tail rule) behind both ``flashflow-trace/1`` traces and the
+  daemon's ``flashflow-service/1`` journals, plus a plain-text summary
+  renderer; :mod:`repro.obs.validate` checks either kind of log
+  (``python -m repro.obs.validate``, CI smoke).
   :mod:`repro.obs.profiling` adds opt-in cProfile capture.
 
 Tracing never perturbs results (spans read clocks, not RNGs; the
 bit-identity oracle suites run traced), and the disabled path is a
 no-op fast path: instrumentation sits at round granularity and
-the null tracer allocates nothing. This event/metrics schema is the
-substrate the continuous daemon (ROADMAP item 1) and campaign archive
-(item 4) will consume.
+the null tracer allocates nothing.
 """
 
 from repro.obs.export import (
     TRACE_SCHEMA,
-    JsonlTraceWriter,
+    JsonlLog,
+    LogSchemaError,
     git_revision,
+    read_log,
     render_summary,
     run_manifest,
 )
@@ -63,7 +66,8 @@ __all__ = [
     "DegradationWarning",
     "Gauge",
     "Histogram",
-    "JsonlTraceWriter",
+    "JsonlLog",
+    "LogSchemaError",
     "MetricsRegistry",
     "NullSpan",
     "NullTracer",
@@ -74,11 +78,13 @@ __all__ = [
     "get_tracer",
     "git_revision",
     "maybe_profile",
+    "read_log",
     "render_summary",
     "reset_registry",
     "reset_warnings",
     "run_manifest",
     "use_tracer",
+    "validate_log",
     "validate_trace",
 ]
 
@@ -86,7 +92,7 @@ __all__ = [
 def __getattr__(name):
     # Lazy so ``python -m repro.obs.validate`` doesn't re-import the
     # module it is about to execute (runpy warns about that).
-    if name in ("TraceValidationError", "validate_trace"):
+    if name in ("TraceValidationError", "validate_log", "validate_trace"):
         from repro.obs import validate
 
         return getattr(validate, name)

@@ -1,28 +1,22 @@
-"""Trace exporters: incremental JSONL writer, run manifest, summary text.
+"""The JSONL log substrate, the run manifest, and the summary text.
 
-The trace file format (``flashflow-trace/1``) is line-delimited JSON,
-one record per line, written incrementally so a killed run still leaves
-an analyzable prefix:
+Traces (``flashflow-trace/1``) and the daemon's journals
+(``flashflow-service/1``) are one kind of file: one JSON object with a
+``type`` per line, each flushed as written, so a killed process still
+leaves an analyzable prefix. :class:`JsonlLog` is the one writer; its
+line 1 is the **manifest** (schema name, run id, scenario and seed,
+``cpu_count``, python version, git revision, plus the owner's keys --
+a trace's execution knobs, a journal's service config).
+:func:`read_log` is the one reader, with the one torn-tail rule, and
+:class:`LogSchemaError` the one error for a log that breaks its schema.
 
-- line 1 is always the **manifest** (``type: "manifest"``): schema
-  name, run id, scenario name and seed, execution knobs
-  (full_simulation, max_rounds), ``cpu_count``, python version, and the
-  git revision when available -- everything needed to interpret (or
-  reproduce) the run. Validators ignore keys they do not read, so
-  manifests written before the ``backend`` key was dropped still pass;
-- **span** records (``type: "span"``) follow as spans close, children
-  before their parents (a span closes before the span that opened it);
-  parent ids always refer to earlier-allocated ids, so the file's span
-  lines reassemble into a well-formed tree;
-- one **metrics** record (``type: "metrics"``) near the end snapshots
-  the registry (counters / gauges / histograms);
-- the final record is ``type: "end"`` with the total span count, so a
-  truncated file is detectable.
-
-This schema is the substrate the ROADMAP's continuous daemon (item 1)
-and campaign archive (item 4) consume: durable, append-only, parseable
-line by line. :func:`repro.obs.validate.validate_trace` checks all of
-the above and backs the CI smoke job.
+A trace's records: **span** records follow as spans close, children
+before their parents (parent ids always refer to earlier-allocated ids,
+so the span lines reassemble into a tree); then one **metrics** record
+snapshots the registry and the final ``end`` record carries the span
+count, so a truncated trace is detectable
+(:meth:`repro.obs.trace.Tracer.finish` writes both). The journal's
+records are listed in :mod:`repro.service.journal`.
 """
 
 from __future__ import annotations
@@ -36,12 +30,14 @@ import time
 import uuid
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Tracer
 
 __all__ = [
     "TRACE_SCHEMA",
-    "JsonlTraceWriter",
+    "JsonlLog",
+    "LogSchemaError",
     "git_revision",
+    "read_log",
     "render_summary",
     "run_manifest",
 ]
@@ -71,11 +67,12 @@ def run_manifest(
     seed: int | None = None,
     **extra,
 ) -> dict:
-    """The ``type: "manifest"`` record for one traced run.
+    """The ``type: "manifest"`` record that opens one run's log.
 
-    ``extra`` keys (full_simulation, periods, max_rounds, ...) are
-    merged in verbatim; provenance fields (cpu_count, python,
-    git_rev, generated_unix, run_id) are always present.
+    ``extra`` keys (full_simulation, periods, max_rounds, a journal's
+    ``schema`` and ``config``, ...) are merged in verbatim; provenance
+    fields (cpu_count, python, git_rev, generated_unix, run_id) are
+    always present.
     """
     manifest = {
         "type": "manifest",
@@ -92,50 +89,73 @@ def run_manifest(
     return manifest
 
 
-class JsonlTraceWriter:
-    """Incremental JSONL sink for a :class:`repro.obs.trace.Tracer`.
+class LogSchemaError(ValueError):
+    """A JSONL log (trace or journal) broke its schema."""
 
-    Writes the manifest on open, one span record per closed span, and
-    (via :meth:`finish`) the metrics snapshot plus the ``end`` record.
-    Each line is flushed as written so a killed process leaves a valid
-    prefix; double-``finish`` and write-after-close are no-ops rather
-    than errors (the campaign generator's finally block may race a
-    caller's explicit close).
+
+class JsonlLog:
+    """The append-only JSONL writer behind traces and journals.
+
+    A fresh log writes ``manifest`` as line 1; ``resume=True`` reopens
+    a log after dropping its torn tail (the bytes after the last
+    newline). ``append`` after :meth:`close`, and a second ``close``,
+    do nothing: a campaign generator's ``finally`` may race a caller's
+    explicit close.
     """
 
-    def __init__(self, path, manifest: dict | None = None):
+    def __init__(self, path, manifest: dict | None = None,
+                 resume: bool = False):
+        if manifest is None and not resume:
+            raise ValueError("a fresh log needs a manifest")
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("w", encoding="utf-8")
-        self._spans_written = 0
-        self._finished = False
-        self._write(manifest if manifest is not None else run_manifest())
+        if resume:
+            with self.path.open("r+b") as fh:
+                fh.truncate(fh.read().rfind(b"\n") + 1)
+        self._fh = self.path.open("a" if resume else "w", encoding="utf-8")
+        self._closed = False
+        if not resume:
+            self.append(manifest)
 
-    def _write(self, record: dict) -> None:
+    def append(self, record: dict) -> None:
+        if self._closed:
+            return
         self._fh.write(json.dumps(record, default=repr) + "\n")
         self._fh.flush()
 
-    def write_span(self, span: Span) -> None:
-        if self._finished:
-            return
-        self._write(span.to_dict())
-        self._spans_written += 1
+    def close(self) -> None:
+        if not self._closed:
+            self._closed = True
+            self._fh.close()
 
-    def finish(
-        self,
-        registry: MetricsRegistry | None = None,
-        summary: dict | None = None,
-    ) -> None:
-        if self._finished:
-            return
-        self._finished = True
-        if registry is not None:
-            self._write({"type": "metrics", **registry.snapshot()})
-        record = {"type": "end", "spans": self._spans_written}
-        if summary:
-            record["summary"] = summary
-        self._write(record)
-        self._fh.close()
+
+def read_log(path) -> tuple[list[tuple[int, dict]], bool]:
+    """A log's ``(line number, record)`` pairs, and whether it is torn.
+
+    The one torn-tail rule: only a final line without its newline is
+    torn -- a writer killed mid-line -- and it is dropped. Every
+    complete line, blank ones included, must be a JSON object with a
+    ``type``; anything else raises :class:`LogSchemaError` naming the
+    line.
+    """
+    lines = pathlib.Path(path).read_bytes().split(b"\n")
+    torn = lines.pop() != b""
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            raise LogSchemaError(f"line {lineno}: blank line")
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise LogSchemaError(
+                f"line {lineno}: unparseable JSON: {exc}"
+            ) from exc
+        if not isinstance(record, dict) or "type" not in record:
+            raise LogSchemaError(
+                f"line {lineno}: record is not an object with a 'type'"
+            )
+        records.append((lineno, record))
+    return records, torn
 
 
 def render_summary(

@@ -163,11 +163,12 @@ class Span:
 class Tracer:
     """A recording tracer: hands out spans, collects them on close.
 
-    ``sink`` is an optional incremental writer (duck-typed:
-    ``write_span(span)`` per closed span plus ``finish(registry,
-    summary)`` -- see :class:`repro.obs.export.JsonlTraceWriter`); with
-    no sink the trace stays in memory (``tracer.spans``), which is what
-    the benches use to derive stage breakdowns.
+    ``sink`` is an optional append-only log (duck-typed: ``append(record)``
+    and ``close()`` -- a :class:`repro.obs.export.JsonlLog`), which gets
+    each closed span's record and, from :meth:`finish`, the metrics
+    snapshot and the ``end`` record; with no sink the trace stays in
+    memory (``tracer.spans``), which is what the benches use to derive
+    stage breakdowns.
     """
 
     enabled = True
@@ -205,7 +206,7 @@ class Tracer:
         with self._lock:
             self.spans.append(span)
             if self.sink is not None:
-                self.sink.write_span(span)
+                self.sink.append(span.to_dict())
 
     # -- aggregation ----------------------------------------------------
 
@@ -219,10 +220,19 @@ class Tracer:
                 )
         return totals
 
-    def finish(self, registry=None, summary: dict | None = None) -> None:
-        """Flush the sink (metrics snapshot + closing record), if any."""
-        if self.sink is not None:
-            self.sink.finish(registry=registry, summary=summary)
+    def finish(self, registry=None) -> None:
+        """Close the sink with the metrics snapshot and the ``end`` record.
+
+        A second call, and spans closing afterwards, write nothing.
+        """
+        with self._lock:
+            sink, self.sink = self.sink, None
+            if sink is None:
+                return
+            if registry is not None:
+                sink.append({"type": "metrics", **registry.snapshot()})
+            sink.append({"type": "end", "spans": len(self.spans)})
+            sink.close()
 
 
 # ----------------------------------------------------------------------

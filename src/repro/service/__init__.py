@@ -18,12 +18,13 @@ that service shape for the reproduction:
   (:class:`ServiceConfig`, :class:`NetworkTable`, :class:`Snapshot`):
   everything a killed daemon needs to resume producing **bit-identical**
   remaining periods;
-- :mod:`repro.service.journal` -- the append-only
-  ``flashflow-service/1`` JSONL event log (manifest, period/churn/
-  round/publication records, inline snapshots at period boundaries;
-  every line flushed, so a killed daemon leaves a valid prefix);
-- :mod:`repro.service.validate` -- the journal schema checker behind
-  ``python -m repro.service.validate`` (CI ``service-smoke``).
+- :mod:`repro.service.journal` -- the ``flashflow-service/1`` record
+  grammar (manifest, period/churn/round/publication records, inline
+  snapshots at period boundaries) on :mod:`repro.obs`'s one JSONL log:
+  every line flushed, so a killed daemon leaves a valid prefix;
+- :mod:`repro.service.validate` -- the journal's period-coherence
+  grammar, run by the one log validator
+  ``python -m repro.obs.validate`` (CI ``service-smoke``).
 
 Run it with ``python -m repro.service run|resume|status``.
 """

@@ -13,7 +13,7 @@ period-``N`` boundary (the CI smoke job's simulated kill). ``resume``
 rebuilds the daemon from the journal's last snapshot and runs the
 remaining periods -- bit-identical to never having been killed.
 ``status`` summarizes a journal as JSON. Validate journals with
-``python -m repro.service.validate``.
+``python -m repro.obs.validate``.
 """
 
 from __future__ import annotations

@@ -42,16 +42,11 @@ from repro.api.events import CampaignObserver, RoundCompleted
 from repro.core.bwfile import BandwidthFile
 from repro.core.deployment import Deployment
 from repro.errors import ConfigurationError
-from repro.obs import MetricsRegistry, get_tracer
+from repro.obs import JsonlLog, MetricsRegistry, get_tracer
 from repro.rng import seed_from
 from repro.service.churn import churn_events_for_period
 from repro.service.clock import make_clock
-from repro.service.journal import (
-    ServiceJournal,
-    last_snapshot,
-    read_journal,
-    service_manifest,
-)
+from repro.service.journal import last_snapshot, read_journal, service_manifest
 from repro.service.state import NetworkTable, ServiceConfig, Snapshot
 
 __all__ = ["BwauthDaemon", "run_daemon", "status"]
@@ -146,14 +141,14 @@ class BwauthDaemon:
         #: The most recent boundary snapshot (also journaled inline).
         self.snapshot: Snapshot | None = snapshot
 
-        self._journal_writer: ServiceJournal | None = None
+        self._journal_writer: JsonlLog | None = None
         if journal_path is not None:
             if snapshot is None:
-                self._journal_writer = ServiceJournal(
+                self._journal_writer = JsonlLog(
                     journal_path, manifest=service_manifest(config)
                 )
             else:
-                self._journal_writer = ServiceJournal(journal_path, resume=True)
+                self._journal_writer = JsonlLog(journal_path, resume=True)
                 self._journal(
                     {"type": "resumed", "next_period": self.next_period}
                 )

@@ -1,14 +1,16 @@
 """The daemon's append-only JSONL event log (``flashflow-service/1``).
 
-Same discipline as :class:`repro.obs.export.JsonlTraceWriter` (the
-``flashflow-trace/1`` substrate this format deliberately mirrors): one
-JSON object per line, the first line a manifest, every line flushed as
-written -- so a killed daemon always leaves a valid prefix that
-:func:`read_journal` can load and :mod:`repro.service.validate` can
-check. Unlike a trace, the journal is **appended to across daemon
-lifetimes**: a resumed daemon reopens the same file, writes a
-``resumed`` marker, and keeps streaming, so the log is the one durable
-artifact of the whole deployment.
+A journal is a trace's kind of log, written and read by
+:mod:`repro.obs.export`'s :class:`~repro.obs.export.JsonlLog` and
+:func:`~repro.obs.export.read_log`: one JSON object per line, the first
+line a manifest, every line flushed as written, so a killed daemon
+always leaves a valid prefix that :func:`read_journal` can load and
+``python -m repro.obs.validate`` can check (this module holds the
+record grammar, :mod:`repro.service.validate` its checks). Unlike a
+trace, the journal is **appended to across daemon lifetimes**: a
+resumed daemon drops a torn final line, reopens the same file, writes
+a ``resumed`` marker, and keeps streaming, so the log is the one
+durable artifact of the whole deployment.
 
 Record types:
 
@@ -33,10 +35,7 @@ Record types:
 
 from __future__ import annotations
 
-import json
-import pathlib
-
-from repro.obs.export import run_manifest
+from repro.obs.export import JsonlLog, read_log, run_manifest
 from repro.service.state import SERVICE_SCHEMA, ServiceConfig, Snapshot
 
 __all__ = [
@@ -46,87 +45,27 @@ __all__ = [
     "service_manifest",
 ]
 
+#: The journal's writer is the one log writer.
+ServiceJournal = JsonlLog
+
 
 def service_manifest(config: ServiceConfig) -> dict:
     """The journal's line-1 manifest for one daemon launch."""
-    manifest = run_manifest(
+    return run_manifest(
         scenario_name=config.scenario,
         seed=config.effective_seed,
+        schema=SERVICE_SCHEMA,
+        config=config.to_dict(),
     )
-    manifest["schema"] = SERVICE_SCHEMA
-    manifest["config"] = config.to_dict()
-    return manifest
-
-
-class ServiceJournal:
-    """Append-only JSONL writer with flush-per-line durability."""
-
-    def __init__(self, path, manifest: dict | None = None,
-                 resume: bool = False):
-        self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if resume:
-            self._trim_partial_tail()
-        self._fh = self.path.open("a" if resume else "w", encoding="utf-8")
-        self._closed = False
-        if not resume:
-            if manifest is None:
-                raise ValueError("a fresh journal needs a manifest")
-            self.append(manifest)
-
-    def _trim_partial_tail(self) -> None:
-        """Drop a killed-mid-write partial final line before appending.
-
-        The writer terminates every complete record with a newline, so
-        any non-newline-terminated tail is a torn write; appending after
-        it would corrupt the journal mid-file.
-        """
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return
-        if data and not data.endswith(b"\n"):
-            cut = data.rfind(b"\n")
-            self.path.write_bytes(data[: cut + 1] if cut >= 0 else b"")
-
-    def append(self, record: dict) -> None:
-        if self._closed:
-            return
-        self._fh.write(json.dumps(record, default=repr) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._fh.close()
 
 
 def read_journal(path) -> list[dict]:
-    """Load a journal, tolerating a truncated (killed-mid-write) tail.
+    """A journal's complete records (:func:`repro.obs.export.read_log`).
 
-    Only the *final* line may be unparseable -- that is the valid-prefix
-    guarantee. Corruption anywhere earlier raises ``ValueError``.
+    A torn final line is dropped; any other malformed line raises
+    :class:`~repro.obs.export.LogSchemaError` naming it.
     """
-    path = pathlib.Path(path)
-    records: list[dict] = []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            if lineno == len(lines):
-                break
-            raise ValueError(f"{path}: blank line {lineno} in journal")
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if lineno == len(lines):
-                break  # killed mid-write: drop the partial tail line
-            raise ValueError(f"{path}: corrupt journal line {lineno}")
-        if not isinstance(record, dict) or "type" not in record:
-            raise ValueError(
-                f"{path}: line {lineno} is not an object with a 'type'"
-            )
-        records.append(record)
-    return records
+    return [record for _, record in read_log(path)[0]]
 
 
 def last_snapshot(records: list[dict]) -> Snapshot | None:

@@ -1,51 +1,45 @@
-"""Validator for ``flashflow-service/1`` daemon journals.
+"""The ``flashflow-service/1`` record grammar: period coherence.
 
-The journal-schema twin of :mod:`repro.obs.validate`: checks that every
-line parses as a JSON object with a ``type`` (tolerating one truncated
-tail line -- the valid-prefix guarantee of a killed daemon), that the
-first record is a ``flashflow-service/1`` manifest carrying the
-provenance fields and the service config, and that the record stream is
-*coherent*: period indices advance monotonically and contiguously
-across resumes, every completed period was started, every ``churn`` /
-``round`` / ``published`` / ``span`` record sits inside its period,
-each period boundary writes a snapshot whose ``next_period`` matches,
-and a journal claiming completion ends with ``complete: true``. CI's
+The framing -- every line a JSON object with a ``type``, only a final
+line without its newline torn, the manifest first and never repeated,
+span fields -- is checked by the one log reader and validator,
+:func:`repro.obs.export.read_log` and :mod:`repro.obs.validate`. A
+journal adds: its manifest carries the service ``config`` (an object),
+and the record stream is *coherent*: period indices are ints that
+advance one at a time, every completed period was started, every
+``churn`` / ``round`` / ``published`` / ``span`` record sits inside its
+period (a span may trail it), a snapshot whose ``next_period`` matches
+closes each period boundary before the next period starts or the
+daemon ends, a ``resumed`` daemon restarts at the last snapshot
+(abandoning whatever it was killed in), and a journal claiming
+completion ends with ``complete: true``. Any prefix of such a journal
+-- a killed or still-running daemon's -- is valid, torn tail or not;
+``--expect-complete`` asks for a finished deployment. CI's
 ``service-smoke`` job runs a short churned deployment, kills it at a
-period boundary, resumes it, and pipes the journal through::
+period boundary, resumes it, and validates the journal::
 
-    PYTHONPATH=src python -m repro.service.validate /tmp/service.jsonl
+    PYTHONPATH=src python -m repro.obs.validate /tmp/service.jsonl --expect-complete
+
+``python -m repro.service.validate`` runs the same command.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
-
+from repro.obs.export import LogSchemaError, read_log
+from repro.obs.validate import (
+    MANIFEST_REQUIRED,
+    check_int,
+    check_manifest,
+    check_span,
+    fail,
+    main,
+)
 from repro.service.state import SERVICE_SCHEMA, Snapshot
 
-__all__ = ["JournalValidationError", "validate_journal"]
+__all__ = ["JournalValidationError", "check_journal", "validate_journal"]
 
-#: Manifest keys every journal must carry (run_manifest provenance +
-#: the service config).
-MANIFEST_REQUIRED = (
-    "schema", "run_id", "generated_unix", "scenario", "seed",
-    "cpu_count", "python", "config",
-)
-
-KNOWN_TYPES = (
-    "manifest", "period_started", "churn", "round", "published", "span",
-    "period_completed", "snapshot", "resumed", "end",
-)
-
-
-class JournalValidationError(ValueError):
-    """A journal file violated the flashflow-service/1 schema."""
-
-
-def _fail(lineno: int, message: str) -> None:
-    raise JournalValidationError(f"line {lineno}: {message}")
+#: The name this module's callers have always caught.
+JournalValidationError = LogSchemaError
 
 
 def validate_journal(path) -> dict:
@@ -56,40 +50,22 @@ def validate_journal(path) -> dict:
     ``complete`` so callers (tests, CI) can assert on journal shape
     beyond mere validity.
     """
-    path = pathlib.Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise JournalValidationError(f"{path}: empty journal")
-    records: list[tuple[int, dict]] = []
-    truncated_tail = False
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            _fail(lineno, "blank line in journal")
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):
-                truncated_tail = True
-                break  # a killed daemon may leave one partial tail line
-            _fail(lineno, f"unparseable JSON: {exc}")
-        if not isinstance(record, dict) or "type" not in record:
-            _fail(lineno, "record is not an object with a 'type'")
-        records.append((lineno, record))
+    return check_journal(path, *read_log(path))
 
-    if not records:
-        raise JournalValidationError(f"{path}: no complete records")
 
-    lineno, manifest = records[0]
-    if manifest["type"] != "manifest":
-        _fail(lineno, "first record must be the manifest")
-    for key in MANIFEST_REQUIRED:
-        if key not in manifest:
-            _fail(lineno, f"manifest missing required key {key!r}")
-    if manifest["schema"] != SERVICE_SCHEMA:
-        _fail(lineno, f"unknown schema {manifest['schema']!r}")
+def check_journal(path, records, torn: bool) -> dict:
+    """The ``flashflow-service/1`` grammar over ``read_log``'s output."""
+    manifest = check_manifest(
+        path, records, SERVICE_SCHEMA, MANIFEST_REQUIRED + ("config",)
+    )
+    config = manifest["config"]
+    if not isinstance(config, dict):
+        fail(records[0][0], f"manifest config {config!r} is not an object")
+    configured = config.get("periods")
+    if configured is not None:
+        check_int(records[0][0], "manifest config periods", configured)
 
-    periods_started: list[int] = []
-    periods_completed: list[int] = []
+    periods_completed: set[int] = set()
     snapshots = 0
     published = 0
     churn_events = 0
@@ -102,29 +78,25 @@ def validate_journal(path) -> dict:
 
     for lineno, record in records[1:]:
         kind = record["type"]
-        if kind not in KNOWN_TYPES:
-            _fail(lineno, f"unknown record type {kind!r}")
-        if kind == "manifest":
-            _fail(lineno, "duplicate manifest")
-        elif kind == "period_started":
-            period = record.get("period")
-            if not isinstance(period, int) or period < 0:
-                _fail(lineno, f"period_started period {period!r} invalid")
+        period = record.get("period")
+        if kind == "period_started":
+            check_int(lineno, "period_started period", period)
             if open_period is not None:
-                _fail(
+                fail(
                     lineno,
                     f"period {period} started while {open_period} is open",
                 )
             if period != expected_next:
-                _fail(
+                fail(
                     lineno,
                     f"period {period} started out of order "
                     f"(expected {expected_next})",
                 )
+            if period > 0 and last_snapshot_next != period:
+                fail(lineno, f"period {period} started before its snapshot")
             open_period = period
-            periods_started.append(period)
         elif kind in ("churn", "round", "published", "span"):
-            period = record.get("period")
+            check_int(lineno, f"{kind} period", period)
             # Spans carry durations, so they are written on *exit* and
             # legitimately trail the period_completed that closed their
             # period; everything else must sit inside an open period.
@@ -135,7 +107,7 @@ def validate_journal(path) -> dict:
                 and period == expected_next - 1
             )
             if not (in_open or trails):
-                _fail(
+                fail(
                     lineno,
                     f"{kind} record for period {period!r} "
                     f"outside an open period (open: {open_period})",
@@ -143,40 +115,40 @@ def validate_journal(path) -> dict:
             if kind == "churn":
                 events = record.get("events")
                 if not isinstance(events, list):
-                    _fail(lineno, "churn record has no events list")
+                    fail(lineno, "churn record has no events list")
                 churn_events += len(events)
             elif kind == "published":
                 if "sha256" not in record:
-                    _fail(lineno, "published record has no sha256")
+                    fail(lineno, "published record has no sha256")
                 published += 1
             elif kind == "span":
-                for key in ("name", "wall_seconds", "cpu_seconds"):
-                    if key not in record:
-                        _fail(lineno, f"span missing {key!r}")
-                if record["wall_seconds"] < 0 or record["cpu_seconds"] < 0:
-                    _fail(lineno, "span has negative time")
+                check_span(lineno, record)
                 span_names.add(record["name"])
         elif kind == "period_completed":
-            if open_period is None or record.get("period") != open_period:
-                _fail(
+            check_int(lineno, "period_completed period", period)
+            if period != open_period:
+                fail(
                     lineno,
-                    f"period_completed for {record.get('period')!r} "
+                    f"period_completed for {period!r} "
                     f"does not match open period {open_period}",
                 )
             if "estimates_sha256" not in record:
-                _fail(lineno, "period_completed has no estimates_sha256")
-            periods_completed.append(open_period)
+                fail(lineno, "period_completed has no estimates_sha256")
+            periods_completed.add(open_period)
             expected_next = open_period + 1
             open_period = None
         elif kind == "snapshot":
             if open_period is not None:
-                _fail(lineno, "snapshot inside an open period")
+                fail(lineno, "snapshot inside an open period")
             try:
                 snapshot = Snapshot.from_dict(record)
             except Exception as exc:
-                _fail(lineno, f"unloadable snapshot: {exc}")
+                raise LogSchemaError(
+                    f"line {lineno}: unloadable snapshot: {exc}"
+                ) from exc
+            check_int(lineno, "snapshot next_period", record["next_period"])
             if snapshot.next_period != expected_next:
-                _fail(
+                fail(
                     lineno,
                     f"snapshot next_period {snapshot.next_period} != "
                     f"expected {expected_next}",
@@ -184,33 +156,28 @@ def validate_journal(path) -> dict:
             last_snapshot_next = snapshot.next_period
             snapshots += 1
         elif kind == "resumed":
-            if open_period is not None:
-                _fail(lineno, "resumed inside an open period")
-            if record.get("next_period") != expected_next:
-                _fail(
+            # A resumed daemon restarts at its last snapshot, abandoning
+            # the period (or the unsnapshotted boundary) it was killed in.
+            check_int(lineno, "resumed next_period", record.get("next_period"))
+            if record["next_period"] != last_snapshot_next:
+                fail(
                     lineno,
-                    f"resumed at {record.get('next_period')!r}, journal "
-                    f"prefix expects {expected_next}",
+                    f"resumed at {record['next_period']!r}, last snapshot "
+                    f"says {last_snapshot_next}",
                 )
+            open_period, expected_next = None, last_snapshot_next
             resumes += 1
         elif kind == "end":
             if open_period is not None:
-                _fail(lineno, "end record inside an open period")
+                fail(lineno, "end record inside an open period")
+            if expected_next > 0 and last_snapshot_next != expected_next:
+                fail(lineno, "end record before the last period's snapshot")
             complete = bool(record.get("complete"))
+        else:
+            fail(lineno, f"unknown record type {kind!r}")
 
-    if open_period is not None and not truncated_tail:
-        # A truncated tail legitimately strands an open period (killed
-        # mid-period); a cleanly written journal must close them all.
-        raise JournalValidationError(
-            f"{path}: period {open_period} never completed"
-        )
-    if periods_completed and snapshots == 0:
-        raise JournalValidationError(
-            f"{path}: completed periods but no snapshot"
-        )
-    configured = manifest["config"].get("periods")
     if complete and configured is not None and expected_next < configured:
-        raise JournalValidationError(
+        raise LogSchemaError(
             f"{path}: journal claims completion at period {expected_next} "
             f"of {configured}"
         )
@@ -223,47 +190,11 @@ def validate_journal(path) -> dict:
         "churn_events": churn_events,
         "resumes": resumes,
         "span_names": sorted(span_names),
-        "truncated_tail": truncated_tail,
+        "truncated_tail": torn,
         "last_snapshot_next": last_snapshot_next,
         "complete": complete,
         "records": len(records),
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.validate", description=__doc__
-    )
-    parser.add_argument(
-        "journal", type=pathlib.Path, help="service journal JSONL file"
-    )
-    parser.add_argument("--quiet", action="store_true")
-    parser.add_argument(
-        "--expect-complete",
-        action="store_true",
-        help="also fail unless the journal ends complete",
-    )
-    args = parser.parse_args(argv)
-    try:
-        stats = validate_journal(args.journal)
-    except (JournalValidationError, OSError) as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
-    if args.expect_complete and not stats["complete"]:
-        print("INVALID: journal does not end complete", file=sys.stderr)
-        return 1
-    if not args.quiet:
-        manifest = stats["manifest"]
-        print(
-            f"valid {SERVICE_SCHEMA}: {stats['periods_completed']} "
-            f"period(s) completed, {stats['snapshots']} snapshot(s), "
-            f"{stats['published']} published file(s), "
-            f"{stats['churn_events']} churn event(s), "
-            f"{stats['resumes']} resume(s); "
-            f"scenario={manifest.get('scenario')!r} "
-            f"seed={manifest.get('seed')} complete={stats['complete']}"
-        )
-    return 0
 
 
 if __name__ == "__main__":

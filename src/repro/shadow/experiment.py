@@ -28,6 +28,7 @@ import numpy as np
 from repro import quick_team
 from repro.core.measurement import MeasurementNoise
 from repro.core.params import FlashFlowParams
+from repro.errors import ConfigurationError, _is_int
 from repro.rng import fork
 from repro.shadow.config import ShadowConfig, ShadowNetwork, build_network
 from repro.shadow.simulator import NetworkSimulator, SimulationMetrics
@@ -112,6 +113,15 @@ def torflow_weights_for(
     warmup_sim_seconds: int = 300,
 ) -> dict[str, float]:
     """Run the TorFlow pipeline against the scaled network."""
+    if not (_is_int(warmup_sim_seconds) and warmup_sim_seconds >= 1):
+        raise ConfigurationError(
+            f"warmup_sim_seconds must be an int >= 1, got "
+            f"{warmup_sim_seconds!r}"
+        )
+    if not (_is_int(feedback_rounds) and feedback_rounds >= 0):
+        raise ConfigurationError(
+            f"feedback_rounds must be an int >= 0, got {feedback_rounds!r}"
+        )
     config = network.config
     capacities = network.relays.capacities()
     rng = fork(seed, "torflow-bootstrap")

@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs import (
     TRACE_SCHEMA,
-    JsonlTraceWriter,
+    JsonlLog,
     MetricsRegistry,
     TraceValidationError,
     Tracer,
@@ -28,7 +28,7 @@ def _write_trace(path, n_children=2):
     """One traced 'run': root span, children, metrics, end record."""
     registry = MetricsRegistry()
     registry.counter("campaign.rounds").inc(n_children)
-    tracer = Tracer(sink=JsonlTraceWriter(path, run_manifest("unit", 7)))
+    tracer = Tracer(sink=JsonlLog(path, run_manifest("unit", 7)))
     with tracer.span("campaign", scenario="unit"):
         for index in range(n_children):
             with tracer.span("round", round_index=index):
@@ -64,16 +64,16 @@ def test_writer_record_sequence(tmp_path):
 
 def test_writer_double_finish_is_a_noop(tmp_path):
     path = tmp_path / "trace.jsonl"
-    writer = JsonlTraceWriter(path, run_manifest("unit", 0))
-    writer.finish()
-    writer.finish()
+    tracer = Tracer(sink=JsonlLog(path, run_manifest("unit", 0)))
+    tracer.finish()
+    tracer.finish()
     records = _read_records(path)
     assert [r["type"] for r in records] == ["manifest", "end"]
 
 
 def test_writer_creates_parent_directories(tmp_path):
     path = tmp_path / "a" / "b" / "trace.jsonl"
-    JsonlTraceWriter(path, run_manifest("unit", 0)).finish()
+    Tracer(sink=JsonlLog(path, run_manifest("unit", 0))).finish()
     assert path.exists()
 
 
@@ -95,7 +95,7 @@ def test_validate_accepts_a_trace_whose_manifest_names_a_backend(tmp_path):
     path = tmp_path / "old.jsonl"
     manifest = run_manifest("unit", 7, backend="process",
                             shadow_backend="stateful")
-    tracer = Tracer(sink=JsonlTraceWriter(path, manifest))
+    tracer = Tracer(sink=JsonlLog(path, manifest))
     with tracer.span("campaign", backend="process"):
         pass
     tracer.finish(registry=MetricsRegistry())

@@ -76,3 +76,24 @@ def test_in_use_configs_are_accepted():
     network = build_network(ShadowConfig(**_SMALL))
     assert isinstance(network, ShadowNetwork)
     assert torflow_weights_for(network, seed=3, warmup_sim_seconds=30)
+
+
+@pytest.mark.parametrize(
+    "param, value",
+    [
+        ("warmup_sim_seconds", 0),
+        ("warmup_sim_seconds", -3),
+        ("warmup_sim_seconds", True),
+        ("warmup_sim_seconds", 2.5),
+        ("feedback_rounds", -1),
+        ("feedback_rounds", 1.5),
+        ("feedback_rounds", True),
+    ],
+)
+def test_torflow_weights_for_rejects_malformed_arguments(param, value):
+    """Each of these used to fail naming the derived warm-up config's
+    ``sim_seconds``, raise a bare ``TypeError``, or run: a negative
+    ``feedback_rounds`` ran no feedback round and ``True`` ran one."""
+    network = build_network(ShadowConfig(**_SMALL))
+    with pytest.raises(ConfigurationError, match=f"^{param} must be"):
+        torflow_weights_for(network, seed=3, **{param: value})

@@ -25,9 +25,11 @@ from typing import Iterator
 from repro.analysis.core import Finding, LintContext, register_rule
 
 #: Modules whose contract is bit-identity with a scalar reference path
-#: (``repro.rng`` is where batched draws replay ``random.Random``).
+#: (``repro.rng`` is where batched draws replay ``random.Random``;
+#: ``repro.tornet.network``'s synthesized networks are pinned by golden
+#: digests).
 CRITICAL_MODULES = ("repro.kernel", "repro.rng", "repro.shadow.flows",
-                    "repro.tornet.columnar")
+                    "repro.tornet.columnar", "repro.tornet.network")
 
 #: numpy functions with SIMD kernels that diverge from scalar libm,
 #: mapped to the scalar ``math`` function(s) to apply instead.

@@ -45,7 +45,9 @@ class NetworkSpec:
     """A generated network: size, capacity distribution, seed.
 
     Fields left ``None`` use :func:`repro.tornet.network.\
-synthesize_network`'s July-2019 calibration defaults.
+synthesize_network`'s July-2019 calibration defaults. :meth:`build`
+    returns a :class:`~repro.tornet.network.TorNetwork` of plain
+    :class:`~repro.tornet.relay.Relay` objects.
     """
 
     n_relays: int = 200
@@ -54,11 +56,6 @@ synthesize_network`'s July-2019 calibration defaults.
     sigma: float | None = None
     max_capacity: float | None = None
     prefix: str = "relay"
-    #: Materialize relay state as fingerprint-indexed column arrays
-    #: (:mod:`repro.tornet.columnar`) with relays as lazy views -- the
-    #: default, and required for Tor-scale (10^5+) networks. ``False``
-    #: builds eager per-relay objects; both are bit-identical.
-    columnar: bool = True
 
     def __post_init__(self) -> None:
         if not _is_int(self.n_relays):
@@ -91,7 +88,6 @@ synthesize_network`'s July-2019 calibration defaults.
             "n_relays": self.n_relays,
             "seed": self.seed if self.seed is not None else default_seed,
             "prefix": self.prefix,
-            "columnar": self.columnar,
         }
         for name in ("median", "sigma", "max_capacity"):
             value = getattr(self, name)

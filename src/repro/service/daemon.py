@@ -41,7 +41,7 @@ from repro.api.campaign import Campaign
 from repro.api.events import CampaignObserver, RoundCompleted
 from repro.core.bwfile import BandwidthFile
 from repro.core.deployment import Deployment
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, _is_int
 from repro.obs import JsonlLog, MetricsRegistry, get_tracer
 from repro.rng import seed_from
 from repro.service.churn import churn_events_for_period
@@ -406,9 +406,23 @@ def status(journal_path) -> dict:
     records = read_journal(journal_path)
     manifest = next((r for r in records if r.get("type") == "manifest"), None)
     snapshot = last_snapshot(records)
-    completed = [r for r in records if r.get("type") == "period_completed"]
-    published = [r for r in records if r.get("type") == "published"]
-    churn = [r for r in records if r.get("type") == "churn"]
+    # By period, not by record: a daemon killed after a period completed
+    # but before its snapshot re-runs that period when resumed.
+    completed, published, churn = set(), set(), {}
+    for record in records:
+        kind, period = record.get("type"), record.get("period")
+        if kind in ("period_completed", "published", "churn") and not _is_int(
+            period
+        ):
+            raise ConfigurationError(
+                f"{kind} record period {period!r} is not an int"
+            )
+        if kind == "period_completed":
+            completed.add(period)
+        elif kind == "published":
+            published.add(period)
+        elif kind == "churn":
+            churn[period] = len(record.get("events", []))
     config = (manifest or {}).get("config", {})
     periods_configured = config.get("periods")
     next_period = snapshot.next_period if snapshot is not None else 0
@@ -419,7 +433,7 @@ def status(journal_path) -> dict:
         "next_period": next_period,
         "periods_completed": len(completed),
         "published": len(published),
-        "churn_events": sum(len(r.get("events", [])) for r in churn),
+        "churn_events": sum(churn.values()),
         "relays": len(snapshot.table) if snapshot is not None else None,
         "resumes": sum(1 for r in records if r.get("type") == "resumed"),
         "complete": (

@@ -129,10 +129,9 @@ class NetworkTable:
         """Capture a (synthesized) network as plain rows.
 
         Works for any network whose relays were built via
-        :meth:`Relay.with_capacity` (generated networks and their
-        columnar views are): the CPU model's forward limit *is* the
-        intrinsic capacity, so the row round-trips to a bit-identical
-        relay.
+        :meth:`Relay.with_capacity`, as every generated network's are:
+        the CPU model's forward limit *is* the intrinsic capacity, so the
+        row round-trips to a bit-identical relay.
         """
         rows = {}
         for fp, relay in network.relays.items():
@@ -361,13 +360,35 @@ class Snapshot:
                 f"{SERVICE_SCHEMA!r}"
             )
         _require_keys(record, ("next_period", "table"), "snapshot")
+        # Checked, not coerced: int("2") and int(2.7) resumed at period 2,
+        # and int(True) at period 1, where the validator refuses all three.
+        for name in ("next_period", "published"):
+            value = record.get(name, 0)
+            if not _is_int(value) or value < 0:
+                raise ConfigurationError(
+                    f"snapshot {name} must be an int >= 0, got {value!r}"
+                )
+        history = record.get("history", {})
+        if not isinstance(history, dict):
+            raise ConfigurationError(
+                f"snapshot history must be an object, got {history!r}"
+            )
+        for fp, entry in history.items():
+            if not (
+                isinstance(entry, list) and len(entry) == 2
+                and _is_finite_number(entry[0]) and _is_int(entry[1])
+            ):
+                raise ConfigurationError(
+                    f"snapshot history[{fp!r}] must be [finite number, int], "
+                    f"got {entry!r}"
+                )
         config = record.get("config")
         return cls(
-            next_period=int(record["next_period"]),
-            published=int(record.get("published", 0)),
+            next_period=record["next_period"],
+            published=record.get("published", 0),
             history={
-                fp: (float(estimate), int(period))
-                for fp, (estimate, period) in record.get("history", {}).items()
+                fp: (float(estimate), period)
+                for fp, (estimate, period) in history.items()
             },
             table=NetworkTable.from_dict(record["table"]),
             config=ServiceConfig.from_dict(config) if config else None,

@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, _is_finite_number, _is_int
-from repro.rng import fork
 from repro.tornet.network import (
+    JULY_2019_RELAY_COUNT,
     TorNetwork,
-    sample_scaled_network,
-    synthesize_network,
+    draw_relays,
+    stratified_sample,
+    synthesized_relay,
 )
 
 
@@ -71,6 +72,13 @@ class ShadowConfig:
                 raise ConfigurationError(
                     f"{name} must be >= {least}, got {value!r}"
                 )
+        # The network is a sample of one synthetic consensus; a larger
+        # one has nothing to sample from.
+        if self.n_relays > JULY_2019_RELAY_COUNT:
+            raise ConfigurationError(
+                f"n_relays must be <= {JULY_2019_RELAY_COUNT} (the "
+                f"sampled consensus), got {self.n_relays!r}"
+            )
         if not _is_int(self.seed):
             raise ConfigurationError(
                 f"seed must be an integer, got {self.seed!r}"
@@ -119,23 +127,22 @@ class ShadowNetwork:
 
 
 def build_network(config: ShadowConfig | None = None) -> ShadowNetwork:
-    """Sample the 5%-scale network from a synthetic full consensus."""
+    """Sample the 5%-scale network from a synthetic full consensus.
+
+    The consensus is drawn as capacity and flag lists, and only the
+    ``n_relays`` relays :func:`stratified_sample` picks from it are
+    built, largest capacity first. Every accepted size is hit exactly:
+    ``round(6419 * n / 6419) == n`` for each ``n`` up to 6,419.
+    """
     config = config or ShadowConfig()
-    full = synthesize_network(seed=config.seed, prefix="pub")
-    fraction = config.n_relays / max(1, len(full))
-    scaled = sample_scaled_network(full, fraction=fraction, seed=config.seed)
-    # Stratified sampling can land one relay off target; trim or pad
-    # deterministically to hit the configured count exactly.
-    fingerprints = sorted(
-        scaled.relays,
-        key=lambda fp: scaled[fp].true_capacity,
-        reverse=True,
-    )[: config.n_relays]
-    rng = fork(config.seed, "shadow-pad")
-    while len(fingerprints) < config.n_relays:
-        candidates = [fp for fp in full.relays if fp not in set(fingerprints)]
-        fingerprints.append(rng.choice(candidates))
-    relays = TorNetwork(
-        {fp: (scaled[fp] if fp in scaled else full[fp]) for fp in fingerprints}
+    capacities, flags = draw_relays(seed=config.seed, prefix="pub")
+    picked = stratified_sample(
+        capacities, config.n_relays / len(capacities), config.seed
     )
+    picked.sort(key=capacities.__getitem__, reverse=True)
+    relays = TorNetwork()
+    for index in picked:
+        relays.add(synthesized_relay(
+            "pub", index, capacities[index], flags[index], config.seed
+        ))
     return ShadowNetwork(config=config, relays=relays)

@@ -46,10 +46,12 @@ def test_ff001_fires_once_in_critical_module(tmp_path):
 ])
 def test_ff001_fires_once_per_transcendental(tmp_path, name, scalar):
     """numpy 2's ``np.pow`` alias and every trig, hyperbolic, ``cbrt``,
-    ``logaddexp`` and ``float_power`` call fire too, in the kernel and
-    in ``repro.rng``, each naming its scalar ``math`` replacement."""
+    ``logaddexp`` and ``float_power`` call fire too, in the kernel, in
+    ``repro.rng`` and in network synthesis, each naming its scalar
+    ``math`` replacement."""
     bad = f"import numpy as np\n\ndef f(x):\n    return np.{name}(x)\n"
-    for rel in ("src/repro/kernel/bad.py", "src/repro/rng.py"):
+    for rel in ("src/repro/kernel/bad.py", "src/repro/rng.py",
+                "src/repro/tornet/network.py"):
         findings = _lint(tmp_path, rel, bad)
         assert _codes(findings) == ["FF001"], rel
         assert f"`{scalar}" in findings[0].message

@@ -246,3 +246,34 @@ def test_journal_with_schedule_fields_validates_and_resumes(tmp_path):
     resumed.close()
     assert resumed.published == [(2, dict(daemon.published)[2])]
     assert validate_journal(legacy)["complete"] is True
+
+
+def test_status_counts_periods_not_records(tmp_path):
+    """A daemon killed after a period's ``period_completed`` but before
+    its snapshot re-runs that period when resumed. ``status`` used to
+    count the re-run twice: 4 periods completed and 4 published of 3."""
+    reference = tmp_path / "reference.jsonl"
+    run_daemon(config(periods=3), journal_path=reference)
+    lines = reference.read_text(encoding="utf-8").splitlines()
+    cut = next(
+        i for i, record in enumerate(map(json.loads, lines))
+        if record["type"] == "period_completed" and record["period"] == 1
+    )
+    journal_path = tmp_path / "svc.jsonl"
+    journal_path.write_text("\n".join(lines[: cut + 1]) + "\n",
+                            encoding="utf-8")
+    resumed = BwauthDaemon.resume(journal_path)
+    assert resumed.next_period == 1
+    resumed.run()
+    resumed.close()
+
+    expected = status(reference)
+    assert expected["churn_events"] > 0
+    summary = status(journal_path)
+    assert summary["periods_completed"] == 3
+    assert summary["published"] == 3
+    assert summary["churn_events"] == expected["churn_events"]
+    stats = validate_journal(journal_path)
+    assert stats["resumes"] == 1
+    for key in ("periods_completed", "published", "churn_events"):
+        assert stats[key] == summary[key], key

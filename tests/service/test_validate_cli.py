@@ -222,19 +222,59 @@ def _drop_rows(snapshot):
     del snapshot["table"]["rows"]
 
 
+def _set(key, value):
+    def corrupt(snapshot):
+        snapshot[key] = value
+    return corrupt
+
+
+def _set_history_entry(value):
+    def corrupt(snapshot):
+        history = snapshot["history"]
+        history[next(iter(history))] = value
+    return corrupt
+
+
+_NOT_AN_INT = "must be an int >= 0"
+
+
 @pytest.mark.parametrize("command", ["resume", "status"])
 @pytest.mark.parametrize("corrupt,message", [
     (_drop_next_period, "snapshot is missing 'next_period'"),
     (_drop_table, "snapshot is missing 'table'"),
     (_drop_rows, "network table is missing 'rows'"),
-], ids=["next-period", "table", "rows"])
+    (_set("next_period", "2"), f"snapshot next_period {_NOT_AN_INT}"),
+    (_set("next_period", 2.7), f"snapshot next_period {_NOT_AN_INT}"),
+    (_set("next_period", True), f"snapshot next_period {_NOT_AN_INT}"),
+    (_set("next_period", -1), f"snapshot next_period {_NOT_AN_INT}"),
+    (_set("published", "2"), f"snapshot published {_NOT_AN_INT}"),
+    (_set("published", True), f"snapshot published {_NOT_AN_INT}"),
+    (_set("history", [1.0, 0]), "snapshot history must be an object"),
+    (_set_history_entry(["5e6", 0]), "snapshot history"),
+    (_set_history_entry([float("nan"), 0]), "snapshot history"),
+    (_set_history_entry([5e6, "0"]), "snapshot history"),
+    (_set_history_entry([5e6, 0.5]), "snapshot history"),
+    (_set_history_entry([5e6, False]), "snapshot history"),
+    (_set_history_entry([5e6]), "snapshot history"),
+    (_set_history_entry(5e6), "snapshot history"),
+], ids=[
+    "next-period", "table", "rows", "next-period-string",
+    "next-period-float", "next-period-bool", "next-period-negative",
+    "published-string", "published-bool", "history-list",
+    "history-estimate-string", "history-estimate-nan",
+    "history-period-string", "history-period-float", "history-period-bool",
+    "history-short", "history-not-a-list",
+])
 def test_snapshot_missing_a_key_is_an_error_not_a_traceback(
     tmp_path, capsys, command, corrupt, message
 ):
     """A snapshot record without ``next_period``, ``table`` or the
     table's ``rows`` used to kill ``resume`` and ``status`` with a
     ``KeyError`` traceback, and the validator said only
-    ``unloadable snapshot: 'table'``."""
+    ``unloadable snapshot: 'table'``. A mistyped field was coerced: a
+    ``next_period`` of ``"2"`` or ``2.7`` resumed at period 2, and
+    ``true`` at period 1, which then died on a churn join collision;
+    the validator refused all three."""
     _, journal_path = _run(tmp_path)
     records = [
         json.loads(line) for line in journal_path.read_text().splitlines()

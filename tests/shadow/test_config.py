@@ -5,8 +5,10 @@ load multiplier or utilisation target raised ``cannot convert float NaN
 to integer`` from the run, an infinite one ``OverflowError``, a
 negative target ran with no background traffic, a NaN access rate
 timed every benchmark transfer out, a negative ``sim_seconds`` ran an
-empty horizon, and ``n_relays=0`` failed sampling an empty set without
-naming the field.
+empty horizon, ``n_relays=0`` failed sampling an empty set without
+naming the field, and ``n_relays`` above the sampled consensus's 6,419
+relays ran a padding loop for seconds, then raised a bare
+``IndexError``.
 """
 
 import math
@@ -35,6 +37,9 @@ _SMALL = dict(
         ("sim_seconds", -5),
         ("n_relays", 0),
         ("n_relays", True),
+        # More relays than the 6,419-relay consensus it samples.
+        ("n_relays", 6420),
+        ("n_relays", 7000),
         ("n_markov_clients", 8.0),
         ("seed", 1.5),
         ("circuit_lifetime_seconds", 0),
